@@ -8,9 +8,14 @@ simulated device and :class:`~repro.runtime.profiler.Profiler`, and
 :class:`FlopsCostModel` is a cheap analytical stand-in used by tests and by
 the contention-model ablation.
 
-Stage measurements are memoised: different schedules share sub-schedules (the
-very observation that motivates the dynamic program), so the same candidate
-stage is priced many times during a search.
+Stage measurements are memoised per cost model, keyed by graph name, batch
+size, graph fingerprint, the stage's operator set (order-insensitive) and its
+strategy.  A miss is a measurement: it is what ``num_measurements`` and the
+profiler's ``total_profiling_ms`` count, so this cache defines a compile's
+reported optimisation cost.  Within one search the DP already prices each
+candidate ending once, so hits come from searching the same graph again with
+the same model.  The cache is pure: a hit returns exactly the latency a new
+measurement would.
 """
 
 from __future__ import annotations
@@ -96,7 +101,9 @@ class CostModel(ABC):
         # The structural fingerprint keeps the cache honest across graph
         # *versions*: an incremental recompile mutates a block while keeping
         # the graph name and operator names, and must not see stale prices.
-        key = (graph.name, graph.batch_size, graph.fingerprint(), frozenset(op_names), strategy)
+        # The sorted name tuple makes the key order-insensitive at a fraction
+        # of a frozenset's memory.
+        key = (graph.name, graph.batch_size, graph.fingerprint(), tuple(sorted(op_names)), strategy)
         if key in self._cache:
             return self._cache[key]
         latency = self._measure_stage(graph, tuple(op_names), strategy, groups)

@@ -18,7 +18,9 @@ Operator subsets are represented as bitmasks over a per-block
 Modern CNNs stack blocks, so — exactly as the paper does (Section 4.2) — each
 block is optimised independently and the per-block schedules are concatenated.
 Structurally identical blocks (e.g. repeated NasNet cells) share one search via
-a block fingerprint cache.
+a block fingerprint cache; blocks that only share their wiring (the same cell
+with other channel widths) still search separately but share one ending
+enumeration.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 
 from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
-from .endings import BlockIndex, PruningStrategy, enumerate_endings
+from .endings import BlockIndex, PruningStrategy, ending_lattice, enumerate_endings
 from .memo import memo_enabled, schedule_memo
 from .merge import can_merge
 from .schedule import ParallelizationStrategy, Schedule, Stage
@@ -335,9 +337,13 @@ class IOSScheduler:
         """The DP search proper: SCHEDULER(S) over the block's subset lattice.
 
         Returns ``(stage_masks, optimal_latency, num_states, transitions)``.
-        Candidate endings recur across states, so their GENERATE STAGE result
-        is cached per ending bitmask — the latency values (and hence the
-        chosen schedule) are identical to pricing every transition directly.
+        Each state's endings come from the
+        :class:`~repro.core.endings.EndingLattice` shared by
+        every block with this block's wiring, enumerated on the first visit of
+        a state.  Candidate endings recur across states, so their GENERATE
+        STAGE result is cached per ending id — the latency values (and hence
+        the chosen schedule) are identical to pricing every transition
+        directly.
         """
         config = self.config
         pruning = config.pruning
@@ -347,11 +353,16 @@ class IOSScheduler:
         names_of = index.names_of
         merge_only = ParallelizationStrategy.CONCURRENT not in strategies
 
+        lattice = ending_lattice(index, pruning)
+        state_endings = lattice.endings
+        ending_masks = lattice.masks
+        ending_groups = lattice.groups
         cost: dict[int, float] = {0: 0.0}
         choice: dict[int, tuple[int, ParallelizationStrategy]] = {}
-        #: GENERATE STAGE result per candidate ending; ``None`` marks endings
-        #: skipped by the IOS-Merge variant (unmergeable multi-operator sets).
-        ending_choice: dict[int, StageChoice | None] = {}
+        #: GENERATE STAGE result per ending id: ``False`` until priced,
+        #: ``None`` for endings skipped by the IOS-Merge variant (unmergeable
+        #: multi-operator sets).
+        ending_choice: list[StageChoice | None | bool] = [False] * len(ending_masks)
         transitions = 0
         inf = float("inf")
 
@@ -361,10 +372,15 @@ class IOSScheduler:
             cached = cost.get(state)
             if cached is not None:
                 return cached
+            ending_ids = state_endings.get(state)
+            if ending_ids is None:
+                ending_ids = lattice.add(state, enumerate_endings(index, state, pruning))
+                ending_choice.extend([False] * (len(ending_masks) - len(ending_choice)))
             best = inf
             best_choice: tuple[int, ParallelizationStrategy] | None = None
-            for ending, group_masks in enumerate_endings(index, state, pruning):
-                stage_choice = ending_choice.get(ending, False)
+            for ending_id in ending_ids:
+                ending = ending_masks[ending_id]
+                stage_choice = ending_choice[ending_id]
                 if stage_choice is False:
                     op_subset = names_of(ending)
                     if merge_only and len(op_subset) > 1 and not can_merge(graph, op_subset):
@@ -373,15 +389,15 @@ class IOSScheduler:
                         # single-operator stages, so skip them (Section 6.1:
                         # IOS-Merge equals the sequential schedule on
                         # RandWire/NasNet).
-                        ending_choice[ending] = None
+                        ending_choice[ending_id] = None
                         continue
                     # The enumeration already yields the ending's connected
                     # groups (ordered and topo-sorted exactly like
                     # ``connected_groups``), so pass them through and spare
                     # the cost model a recomputation per measurement.
-                    groups = [names_of(mask) for mask in group_masks]
+                    groups = [names_of(mask) for mask in ending_groups[ending_id]]
                     stage_choice = generate_stage(graph, op_subset, strategies, groups)
-                    ending_choice[ending] = stage_choice
+                    ending_choice[ending_id] = stage_choice
                 elif stage_choice is None:
                     continue
                 transitions += 1

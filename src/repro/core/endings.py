@@ -14,6 +14,11 @@ The *pruning strategy* ``P(S, S')`` (Section 4.3) restricts which endings are
 explored: an ending is admissible iff it has at most ``s`` groups and every
 group contains at most ``r`` operators, where groups are the weakly connected
 components of the induced subgraph.
+
+The endings of a state depend only on the block's wiring and the pruning
+strategy, never on operator attributes, so :class:`EndingLattice` records them
+once per wiring: blocks that repeat a cell's wiring with other channel widths
+(NasNet's normal cells, Inception's mixed blocks) reuse one enumeration.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from typing import Iterator, Sequence
 
 from ..ir.graph import Graph
 
-__all__ = ["PruningStrategy", "BlockIndex", "enumerate_endings", "is_ending", "groups_of_mask"]
+__all__ = ["PruningStrategy", "BlockIndex", "EndingLattice", "enumerate_endings",
+           "ending_lattice", "clear_lattice_cache", "is_ending", "groups_of_mask"]
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,15 @@ class BlockIndex:
         return mask
 
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in range(self.n) if mask >> i & 1)
+        # Walks the set bits only (lowest first, i.e. topological order):
+        # the DP's endings are a few operators out of the whole block.
+        names = self.names
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def bits(self, mask: int) -> Iterator[int]:
         while mask:
@@ -231,3 +245,68 @@ def enumerate_endings(
 
     recurse(0, 0, 0, ())
     return out
+
+
+class EndingLattice:
+    """The admissible endings of every state visited so far, for one wiring.
+
+    Each distinct ending gets a dense integer id in first-seen order:
+    ``masks[id]`` is its bitmask and ``groups[id]`` its connected-group masks
+    (a function of the mask alone).  ``endings[state]`` holds the ids of the
+    state's endings in :func:`enumerate_endings` order, so a search reading
+    the lattice visits, prices and tie-breaks exactly as one enumerating each
+    state itself.  ``num_transitions`` counts the stored ids, the size the
+    cache is bounded by.
+    """
+
+    __slots__ = ("endings", "masks", "groups", "num_transitions", "_ids")
+
+    def __init__(self) -> None:
+        self.endings: dict[int, tuple[int, ...]] = {}
+        self.masks: list[int] = []
+        self.groups: list[tuple[int, ...]] = []
+        self.num_transitions = 0
+        self._ids: dict[int, int] = {}
+
+    def add(self, state: int, endings: list[tuple[int, list[int]]]) -> tuple[int, ...]:
+        """Record ``state``'s enumerated endings; returns their ids."""
+        ids = self._ids
+        masks = self.masks
+        state_ids = []
+        for mask, group_masks in endings:
+            ending_id = ids.get(mask)
+            if ending_id is None:
+                ending_id = ids[mask] = len(masks)
+                masks.append(mask)
+                self.groups.append(tuple(group_masks))
+            state_ids.append(ending_id)
+        result = self.endings[state] = tuple(state_ids)
+        self.num_transitions += len(result)
+        return result
+
+
+#: Ending lattices keyed by ``(block wiring, pruning strategy)``, where the
+#: wiring is the block's ``succ_mask`` tuple.  A lattice is a pure function of
+#: its key, so sharing it cannot change a search.  Bounded by stored
+#: transitions like the simulator's caches: a new lattice clears the whole
+#: cache once it holds more than the limit, so a sweep of unpruned searches
+#: keeps at most the latest huge lattice.
+_LATTICE_CACHE: dict[tuple, EndingLattice] = {}
+_LATTICE_CACHE_LIMIT = 1 << 18
+
+
+def ending_lattice(block: BlockIndex, pruning: PruningStrategy) -> EndingLattice:
+    """The shared lattice for ``block``'s wiring under ``pruning``."""
+    key = (tuple(block.succ_mask), pruning)
+    lattice = _LATTICE_CACHE.get(key)
+    if lattice is None:
+        stored = sum(cached.num_transitions for cached in _LATTICE_CACHE.values())
+        if stored > _LATTICE_CACHE_LIMIT:
+            _LATTICE_CACHE.clear()
+        lattice = _LATTICE_CACHE[key] = EndingLattice()
+    return lattice
+
+
+def clear_lattice_cache() -> None:
+    """Forget every shared ending lattice."""
+    _LATTICE_CACHE.clear()

@@ -378,19 +378,34 @@ def _dispatch(node: ForeignNode, ctx: ImportContext) -> dict[str, Any] | str:
 # Importer core                                                                #
 # --------------------------------------------------------------------------- #
 def _parse_foreign_nodes(data: dict[str, Any]) -> list[ForeignNode]:
+    """Type-check every node's fields; a bad one names the node and field."""
     nodes = []
     for raw in data.get("nodes", []):
+        if not isinstance(raw, dict):
+            raise FrontendError(f"node {raw!r} must be an object")
         try:
             name = raw["name"]
             op_type = raw["op_type"]
         except KeyError as exc:
             raise FrontendError(f"node {raw!r} is missing required key {exc}") from exc
+        inputs = raw.get("inputs", [])
+        attrs = raw.get("attrs", {})
+        if not isinstance(op_type, str) or not op_type:
+            raise FrontendError(
+                f"node {name!r}: field 'op_type' must be a non-empty string, got {op_type!r}"
+            )
+        if not isinstance(inputs, (list, tuple)):
+            raise FrontendError(
+                f"node {name!r}: field 'inputs' must be a list of value names, got {inputs!r}"
+            )
+        if not isinstance(attrs, dict):
+            raise FrontendError(f"node {name!r}: field 'attrs' must be an object, got {attrs!r}")
         nodes.append(
             ForeignNode(
                 name=str(name),
-                op_type=str(op_type),
-                inputs=tuple(str(v) for v in raw.get("inputs", [])),
-                attrs=dict(raw.get("attrs", {})),
+                op_type=op_type,
+                inputs=tuple(str(v) for v in inputs),
+                attrs=dict(attrs),
             )
         )
     if not nodes:

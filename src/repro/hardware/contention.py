@@ -231,15 +231,35 @@ _RATES_CACHE_LIMIT = 1 << 16
 _LATENCY_CACHE: dict[tuple, dict[tuple, float]] = {}
 _LATENCY_CACHE_LIMIT = 1 << 16
 
+#: The five-field value of each kernel seen on the latency-only path, keyed by
+#: ``id(kernel)`` and built once per kernel, so a latency-cache key shares
+#: these tuples instead of rebuilding them per call.  Each entry holds its
+#: kernel, which pins the id: it cannot be recycled while the entry exists.
+_KERNEL_VALUES: dict[int, tuple[KernelSpec, tuple]] = {}
+_KERNEL_VALUES_LIMIT = 1 << 16
 
-def _kernel_value(kernel: KernelSpec) -> tuple:
-    return (
-        kernel.num_blocks,
-        kernel.efficiency,
-        kernel.flops,
-        kernel.memory_bytes,
-        kernel.launch_overhead_ms,
-    )
+
+def _stream_value(kernels: Sequence[KernelSpec]) -> tuple:
+    """One stream's latency-cache key: its kernels' five-field values."""
+    values = _KERNEL_VALUES
+    stream_value = []
+    for kernel in kernels:
+        entry = values.get(id(kernel))
+        if entry is None:
+            if len(values) >= _KERNEL_VALUES_LIMIT:
+                values.clear()
+            entry = values[id(kernel)] = (
+                kernel,
+                (
+                    kernel.num_blocks,
+                    kernel.efficiency,
+                    kernel.flops,
+                    kernel.memory_bytes,
+                    kernel.launch_overhead_ms,
+                ),
+            )
+        stream_value.append(entry[1])
+    return tuple(stream_value)
 
 
 def _simulate_single_stream(kernels: Sequence[KernelSpec], device: DeviceSpec) -> float:
@@ -313,21 +333,13 @@ def simulate_streams(
     SimulationResult
         Total latency, per-kernel executions and (optionally) the timeline.
     """
-    states = []
-    for stream_id, kernels in enumerate(streams):
-        if len(kernels) > 0:
-            states.append(_StreamState(kernels, len(states)))
-    result = SimulationResult(latency_ms=0.0)
-    if not states:
-        return result
-
     latency_only = not record_trace and not record_executions
     latency_cache: dict[tuple, float] | None = None
     cache_key: tuple = ()
     if latency_only:
-        cache_key = tuple(
-            tuple(_kernel_value(k) for k in state.kernels) for state in states
-        )
+        # Look the latency up before building any simulation state: most
+        # latency-only calls of a DP search are hits.
+        cache_key = tuple(_stream_value(kernels) for kernels in streams if len(kernels) > 0)
         latency_cache = _LATENCY_CACHE.setdefault(
             (
                 device.total_block_slots,
@@ -339,8 +351,15 @@ def simulate_streams(
         )
         cached_latency = latency_cache.get(cache_key)
         if cached_latency is not None:
-            result.latency_ms = cached_latency
-            return result
+            return SimulationResult(latency_ms=cached_latency)
+
+    states = []
+    for kernels in streams:
+        if len(kernels) > 0:
+            states.append(_StreamState(kernels, len(states)))
+    result = SimulationResult(latency_ms=0.0)
+    if not states:
+        return result
 
     if len(states) == 1 and latency_only:
         result.latency_ms = _simulate_single_stream(states[0].kernels, device)

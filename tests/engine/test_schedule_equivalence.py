@@ -13,7 +13,11 @@ property tests pin that invariant down:
   mutated graph;
 * the group decomposition the ending enumeration hands the cost model equals
   ``connected_groups`` — the ordering contract the whole pricing path
-  relies on.
+  relies on;
+* blocks that share a wiring share one ending lattice, and a search reading
+  it prices, counts and chooses exactly like one with the cache cleared
+  before every block; a cold ``inception_v3`` compile stays pinned to its
+  recorded values.
 
 Equality is checked at the bit level: stage operator tuples, strategies, and
 the ``repr`` of every per-block latency (``repr`` round-trips floats, so two
@@ -22,19 +26,25 @@ equal reprs mean identical doubles).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+import repro.core.dp_scheduler as dp_scheduler
 from repro.core import (
     BlockIndex,
     FlopsCostModel,
     IOSScheduler,
     PruningStrategy,
     SchedulerConfig,
+    SimulatedCostModel,
     clear_schedule_memo,
     connected_groups,
     enumerate_endings,
     groups_of_mask,
 )
+from repro.core.endings import clear_lattice_cache, ending_lattice
+from repro.hardware import get_device
 from repro.engine import Engine
 from repro.ir.graph import GraphBuilder
 from repro.ir.tensor import TensorShape
@@ -282,3 +292,152 @@ class TestGroupDecomposition:
                 expected = connected_groups(graph, index.names_of(ending))
                 assert [list(index.names_of(m)) for m in group_masks] == expected
                 assert group_masks == groups_of_mask(index, ending)
+
+
+def _twin_cells_graph():
+    """Three blocks with one wiring and different channel widths."""
+    builder = GraphBuilder("twin-cells", TensorShape(1, 16, 8, 8))
+    current = builder.input_name
+    for b, width in enumerate([8, 16, 24]):
+        with builder.block(f"cell{b}"):
+            left = builder.conv2d(f"c{b}_left", current, width, 3)
+            right = builder.conv2d(f"c{b}_right", current, width, 1)
+            deep = builder.conv2d(f"c{b}_deep", right, width, 3)
+            side = builder.relu(f"c{b}_side", left)
+            wide = builder.conv2d(f"c{b}_wide", current, 2 * width, 1)
+            current = builder.concat(f"c{b}_out", [side, deep, wide])
+    return builder.build()
+
+
+def _counting_enumerations(monkeypatch):
+    """Count the DP's ``enumerate_endings`` calls (one per enumerated state)."""
+    calls = []
+
+    def counting(index, state, pruning=None):
+        calls.append(state)
+        return enumerate_endings(index, state, pruning)
+
+    monkeypatch.setattr(dp_scheduler, "enumerate_endings", counting)
+    return calls
+
+
+def _block_indexes(graph):
+    return [BlockIndex(graph, graph.schedulable_names(block)) for block in graph.blocks]
+
+
+class TestSharedEndingLattice:
+    """Blocks with one wiring share an ending lattice; nothing else changes."""
+
+    def _cold_per_block(self, graph, config):
+        """The referee: every block searched with the lattice cache cleared."""
+        cost_model = SimulatedCostModel(get_device("v100"))
+        scheduler = IOSScheduler(cost_model, config)
+        results = []
+        for block in graph.blocks:
+            clear_lattice_cache()
+            results.append(scheduler.optimize_block(graph, block, use_memo=False))
+        return results, cost_model
+
+    def _assert_blocks_identical(self, result, expected):
+        assert [(s.operators, s.strategy.value) for s in result.schedule.stages] == [
+            (s.operators, s.strategy.value) for stages, _ in expected for s in stages
+        ]
+        for stats, (_, cold) in zip(result.block_stats, expected):
+            assert repr(stats.optimized_latency_ms) == repr(cold.optimized_latency_ms)
+            assert stats.num_states == cold.num_states
+            assert stats.num_transitions == cold.num_transitions
+            assert stats.num_measurements == cold.num_measurements
+
+    def test_same_wiring_blocks_share_one_lattice(self):
+        first, *rest = _block_indexes(_twin_cells_graph())
+        pruning = PruningStrategy(3, 8)
+        assert all(index.succ_mask == first.succ_mask for index in rest)
+        clear_lattice_cache()
+        lattice = ending_lattice(first, pruning)
+        assert all(ending_lattice(index, pruning) is lattice for index in rest)
+
+    def test_cache_clears_once_it_holds_too_many_transitions(self, monkeypatch):
+        from repro.core import endings
+
+        graph = _twin_cells_graph()
+        index = _block_indexes(graph)[0]
+        clear_lattice_cache()
+        IOSScheduler(FlopsCostModel(), SchedulerConfig()).optimize_graph(graph, use_memo=False)
+        searched = ending_lattice(index, PruningStrategy(3, 8))
+        assert searched.num_transitions > 10
+
+        monkeypatch.setattr(endings, "_LATTICE_CACHE_LIMIT", 10)
+        ending_lattice(index, PruningStrategy(1, 2))  # a new key finds the cache full
+        assert ending_lattice(index, PruningStrategy(3, 8)) is not searched
+
+    @pytest.mark.parametrize("variant", ["ios-both", "ios-merge"])
+    def test_shared_lattice_search_equals_cold_per_block_search(self, variant, monkeypatch):
+        graph = _twin_cells_graph()
+        config = SchedulerConfig.variant(variant)
+        expected, cold_model = self._cold_per_block(graph, config)
+
+        clear_lattice_cache()
+        calls = _counting_enumerations(monkeypatch)
+        cost_model = SimulatedCostModel(get_device("v100"))
+        result = IOSScheduler(cost_model, config).optimize_graph(graph, use_memo=False)
+
+        assert [stats.source for stats in result.block_stats] == ["search"] * 3
+        self._assert_blocks_identical(result, expected)
+        assert cost_model.num_measurements == cold_model.num_measurements
+        assert repr(cost_model.profiler.total_profiling_ms) == repr(
+            cold_model.profiler.total_profiling_ms
+        )
+        # Only the first cell enumerated its states; the others read its lattice.
+        assert len(calls) == result.block_stats[0].num_states
+
+    def test_pruning_strategies_do_not_share_a_lattice(self, monkeypatch):
+        graph = _twin_cells_graph()
+        index = _block_indexes(graph)[0]
+        wide, narrow = PruningStrategy(3, 8), PruningStrategy(1, 2)
+        clear_lattice_cache()
+        assert ending_lattice(index, wide) is not ending_lattice(index, narrow)
+
+        # With the wide strategy's lattice cached, a narrow search must still
+        # enumerate its own states and equal a cold narrow search.
+        expected, _ = self._cold_per_block(graph, SchedulerConfig(pruning=narrow))
+        clear_lattice_cache()
+        IOSScheduler(SimulatedCostModel(get_device("v100")),
+                     SchedulerConfig(pruning=wide)).optimize_graph(graph, use_memo=False)
+        calls = _counting_enumerations(monkeypatch)
+        result = IOSScheduler(
+            SimulatedCostModel(get_device("v100")), SchedulerConfig(pruning=narrow)
+        ).optimize_graph(graph, use_memo=False)
+        self._assert_blocks_identical(result, expected)
+        assert len(calls) == result.block_stats[0].num_states
+
+        lattice = ending_lattice(index, narrow)
+        for state, ending_ids in lattice.endings.items():
+            assert [(lattice.masks[i], list(lattice.groups[i])) for i in ending_ids] == (
+                enumerate_endings(index, state, narrow)
+            )
+
+
+class TestPinnedColdCompile:
+    """A cold ``inception_v3`` compile on v100, pinned to recorded values.
+
+    Its mixed_5b-5d and mixed_6b-6e blocks share wiring, so their searches
+    read shared ending lattices.  The values were recorded before lattices
+    were shared; any drift means the search itself changed.
+    """
+
+    def test_inception_v3_v100_matches_recorded_values(self):
+        clear_lattice_cache()
+        engine = Engine("v100", passes=True, jobs=1)
+        model = engine.compile(load("inception_v3"))
+        stats = model.search.block_stats
+        stages = repr(stage_signature(model.schedule))
+        assert hashlib.sha256(stages.encode()).hexdigest() == (
+            "95c7c13fd469255d063837a264e50341987863752b3bebf83c1db364faea4bdb"
+        )
+        assert len(model.schedule.stages) == 38
+        assert repr(model.search.predicted_latency_ms) == "2.7749268310903505"
+        assert repr(model.latency_ms()) == "2.7749268310903514"
+        assert sum(s.num_states for s in stats) == 1208
+        assert sum(s.num_transitions for s in stats) == 25105
+        assert engine.cost_model.num_measurements == 4698
+        assert repr(engine.cost_model.profiler.total_profiling_ms) == "2543.630738984297"

@@ -178,6 +178,24 @@ class TestImportStructure:
         with pytest.raises(FrontendError, match="no nodes"):
             import_onnx(doc)
 
+    def test_null_op_type_is_rejected_naming_node_and_field(self):
+        doc = _simple_mlp()
+        doc["nodes"][1]["op_type"] = None
+        with pytest.raises(FrontendError, match="node 'act0': field 'op_type'"):
+            import_onnx(doc)
+
+    def test_null_inputs_are_rejected_naming_node_and_field(self):
+        doc = _simple_mlp()
+        doc["nodes"][1]["inputs"] = None
+        with pytest.raises(FrontendError, match="node 'act0': field 'inputs'"):
+            import_onnx(doc)
+
+    def test_non_object_attrs_are_rejected_naming_node_and_field(self):
+        doc = _simple_mlp()
+        doc["nodes"][1]["attrs"] = "garbage"
+        with pytest.raises(FrontendError, match="node 'act0': field 'attrs'"):
+            import_onnx(doc)
+
     def test_default_is_a_single_main_block(self):
         graph = import_onnx(_simple_mlp())
         assert [b.name for b in graph.blocks] == ["main"]
