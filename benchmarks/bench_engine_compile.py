@@ -12,7 +12,7 @@ from conftest import bench_device, bench_models, run_once
 
 from repro.engine import Engine
 from repro.experiments.tables import ExperimentTable
-from repro.models import build_model
+from repro.frontend import load
 
 
 def _compile_table() -> ExperimentTable:
@@ -30,7 +30,7 @@ def _compile_table() -> ExperimentTable:
     )
     engine = Engine(device, passes=True)
     for model in bench_models():
-        graph = build_model(model, optimize=False)
+        graph = load(model, optimize=False)
         compiled = engine.compile(graph)
         cold_s = compiled.stats.elapsed_s
 
@@ -71,7 +71,7 @@ def test_artifact_warm_start_skips_the_search(benchmark, tmp_path_factory):
     root = tmp_path_factory.mktemp("artifacts")
     model = bench_models()[0]
     cold_engine = Engine(device)
-    compiled = cold_engine.compile(build_model(model, optimize=False))
+    compiled = cold_engine.compile(load(model, optimize=False))
     path = compiled.save(root / f"{model}.json")
 
     def warm_start():

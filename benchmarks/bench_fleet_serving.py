@@ -16,7 +16,7 @@ the router exploits.
 from conftest import full_run, run_once
 
 from repro.engine import get_engines
-from repro.models import build_model
+from repro.frontend import load
 from repro.serve import FleetSpec, run_fleet_comparison
 
 FLEET = "k80:2,v100:2"
@@ -49,7 +49,7 @@ def test_fleet_latency_asymmetry_is_what_routing_exploits(benchmark):
     """The per-device compile fan-out shows why earliest-finish routes off k80."""
     def fan_out():
         engines = get_engines(FleetSpec.parse(FLEET))
-        graph = build_model("squeezenet", batch_size=4)
+        graph = load("squeezenet", batch_size=4)
         return {name: engine.compile(graph).latency_ms()
                 for name, engine in engines.items()}
 

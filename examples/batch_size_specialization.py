@@ -17,14 +17,14 @@ Run with::
 
 from __future__ import annotations
 
-from repro import build_model, get_device
+from repro import get_device, load
 from repro.core import specialize_for_batch_sizes
 from repro.experiments import run_figure11
 
 
 def cross_execution_matrix() -> None:
     device = get_device("v100")
-    graph = build_model("inception_v3", batch_size=1)
+    graph = load("inception_v3", batch_size=1)
     batch_sizes = [1, 32]
     print(f"Optimising {graph.name} separately for batch sizes {batch_sizes} on {device.name}...")
     schedules, matrix = specialize_for_batch_sizes(graph, batch_sizes, device)

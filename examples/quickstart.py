@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import sys
 
-from repro import build_model, get_device, optimize
+from repro import get_device, load, optimize
 from repro.core import greedy_schedule, measure_schedule, sequential_schedule
 
 
 def main(model_name: str = "inception_v3", device_name: str = "v100") -> None:
     device = get_device(device_name)
-    graph = build_model(model_name, batch_size=1)
+    graph = load(model_name, batch_size=1)
     print(f"Loaded {graph.name}: {len(graph.operators())} operators, "
           f"{graph.total_flops() / 1e9:.2f} GFLOPs, {len(graph.blocks)} blocks")
     print(f"Target device: {device.name} ({device.num_sms} SMs, "

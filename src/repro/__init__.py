@@ -35,7 +35,7 @@ Quick start::
 
 from .ir import Graph, GraphBuilder, TensorShape
 from .hardware import DeviceSpec, get_device, list_devices
-from .models import BENCHMARK_MODELS, build_model, list_models
+from .models import BENCHMARK_MODELS, list_models
 from .core import (
     IOSScheduler,
     ParallelizationStrategy,
@@ -52,7 +52,7 @@ from .core import (
 from .engine import CompiledModel, Engine, get_engine
 from .frontend import load
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "TensorShape",
@@ -61,7 +61,6 @@ __all__ = [
     "DeviceSpec",
     "get_device",
     "list_devices",
-    "build_model",
     "load",
     "list_models",
     "BENCHMARK_MODELS",

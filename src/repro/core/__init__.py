@@ -21,9 +21,6 @@ does internally)::
     scheduler = IOSScheduler(SimulatedCostModel(device))
     result = scheduler.optimize_graph(graph)
     latency = measure_schedule(graph, result.schedule, device).latency_ms
-
-The former one-call helper :func:`schedule_graph` is deprecated in favour of
-``Engine.compile`` (it now delegates to it and warns).
 """
 
 from .schedule import (
@@ -69,48 +66,6 @@ from .specialization import (
 )
 
 
-def schedule_graph(graph, device="v100", *, variant=None, passes=False,
-                   pruning=None, profile=None, config=None) -> ScheduleResult:
-    """Deprecated one-call scheduler path; use :class:`repro.engine.Engine`.
-
-    .. deprecated:: 1.3
-        Migrate to the engine — the identical staged pipeline
-        (passes → search) plus lowering, with a compile cache and
-        serializable artifacts::
-
-            # before
-            result = schedule_graph(graph, "v100", passes=True, variant="ios-merge")
-
-            # after
-            from repro.engine import Engine
-            compiled = Engine("v100", passes=True, variant="ios-merge").compile(graph)
-            result = compiled.search          # the same ScheduleResult
-
-    The shim delegates to :meth:`repro.engine.Engine.compile` and returns the
-    underlying :class:`ScheduleResult`, so results are identical to the
-    engine path (the engine tests assert that equivalence on the model zoo).
-    """
-    import warnings
-
-    warnings.warn(
-        "schedule_graph() is deprecated; use repro.engine.Engine(device, ...)"
-        ".compile(graph) instead (compiled.search is this ScheduleResult)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..engine import Engine
-    from ..hardware.kernel import CUDNN_PROFILE
-
-    engine = Engine(
-        device,
-        passes=passes,
-        variant=variant,
-        pruning=pruning,
-        config=config,
-        profile=profile or CUDNN_PROFILE,
-    )
-    return engine.compile(graph).search
-
 __all__ = [
     "ParallelizationStrategy",
     "Stage",
@@ -148,7 +103,6 @@ __all__ = [
     "schedule_memo",
     "clear_schedule_memo",
     "memo_enabled",
-    "schedule_graph",
     "BlockStats",
     "ScheduleResult",
     "sequential_schedule",

@@ -179,8 +179,8 @@ class ScheduleResult:
     block_stats: list[BlockStats] = field(default_factory=list)
     elapsed_s: float = 0.0
     #: The graph the schedule refers to.  Equal to the input graph unless the
-    #: search was preceded by a rewrite pipeline (``optimize_graph(passes=...)``),
-    #: in which case the schedule's operator names only exist in this graph.
+    #: search was preceded by a rewrite pipeline (``Engine(passes=...)``), in
+    #: which case the schedule's operator names only exist in this graph.
     graph: Graph | None = None
     #: Per-pass rewrite statistics when a pipeline ran, else ``None``.
     pass_stats: list | None = None
@@ -486,7 +486,6 @@ class IOSScheduler:
     def optimize_graph(
         self,
         graph: Graph,
-        passes=None,
         *,
         jobs: int = 1,
         precomputed: dict[str, tuple[list[Stage], BlockStats]] | None = None,
@@ -494,37 +493,10 @@ class IOSScheduler:
     ) -> ScheduleResult:
         """Optimise every block of ``graph`` and concatenate the block schedules.
 
-        .. deprecated:: 1.3
-            The ``passes`` parameter is deprecated.  Rewriting-then-scheduling
-            is the engine's job: use ``repro.engine.Engine(device,
-            passes=...)`` and call ``engine.compile(graph)`` — its ``.search``
-            attribute is this method's :class:`ScheduleResult`.  Calling
-            ``optimize_graph(graph)`` with no ``passes`` stays supported; it
-            is the search primitive the engine itself builds on.
-
-        When the deprecated ``passes`` is given, a graph-rewriting pipeline
-        runs *before* the DP search (``True`` selects
-        :func:`repro.passes.default_pipeline`; a
-        :class:`repro.passes.PassManager` / list of pass names runs that one)
-        and the result carries the rewritten graph plus per-pass stats.
+        This is the search primitive :meth:`repro.engine.Engine.compile`
+        builds on; rewriting the graph first is the engine's ``passes`` stage.
         """
         start = time.perf_counter()
-        pass_stats = None
-        if passes is not None and passes is not False:
-            warnings.warn(
-                "IOSScheduler.optimize_graph(passes=...) is deprecated; use "
-                "repro.engine.Engine(device, passes=...) and engine.compile(graph) "
-                "(compiled.search is this ScheduleResult)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Imported lazily: repro.passes depends only on repro.ir, but the
-            # scheduler must stay importable without the passes package loaded.
-            from ..passes import optimize_graph as run_passes
-
-            pass_result = run_passes(graph, None if passes is True else passes)
-            graph = pass_result.graph
-            pass_stats = pass_result.stats
         schedule = Schedule(graph_name=graph.name, origin=self._origin_label())
         all_stats: list[BlockStats] = []
         precomputed = precomputed or {}
@@ -547,7 +519,6 @@ class IOSScheduler:
             block_stats=all_stats,
             elapsed_s=time.perf_counter() - start,
             graph=graph,
-            pass_stats=pass_stats,
         )
 
     # ----------------------------------------------------------------- helpers

@@ -1,11 +1,8 @@
 """repro.engine — one compile pipeline (Engine → CompiledModel) behind every entry point.
 
-Historically the system had four independent ways to turn a graph into a
-measured schedule (``core.schedule_graph``, ``IOSScheduler.optimize_graph``
-with inline passes, the frameworks' IOS engine, and the serve registry's
-compile-on-miss), each wiring passes, scheduling, lowering and measurement
-slightly differently.  This package replaces them with one explicit staged
-pipeline::
+Every path that turns a graph into a measured schedule — CLI figure runs,
+``ios-bench serve``, the frameworks' IOS engine, the serve registry's
+compile-on-miss — goes through one explicit staged pipeline::
 
     Graph --[passes]--> optimized Graph --[schedule]--> Schedule
           --[lower]--> ExecutionPlan
@@ -34,11 +31,9 @@ Quick start::
     warm = Engine("v100", passes=True)
     warm.load("inception.compiled.json")            # zero scheduler searches
 
-Every runtime path — CLI figure runs, ``ios-bench serve``, the frameworks
-comparison, the registry's compile-on-miss — goes through
-:meth:`Engine.compile`; the legacy one-call entry points
-(``repro.core.schedule_graph`` and ``IOSScheduler.optimize_graph(passes=)``)
-are deprecated shims over it.
+The DP search itself is :meth:`repro.core.IOSScheduler.optimize_graph`;
+:meth:`Engine.compile` wraps it with the passes and lowering stages, the
+compile cache and the compile statistics.
 """
 
 from ..core.dp_scheduler import (

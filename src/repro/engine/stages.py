@@ -40,7 +40,8 @@ def apply_passes(graph: Graph, passes, *, tracer=None) -> tuple[Graph, list | No
     # Imported lazily so the engine stays importable without repro.passes.
     from ..passes import optimize_graph
 
-    result = optimize_graph(graph, None if passes is True else passes, tracer=tracer)
+    pipeline = None if passes is True else passes
+    result = optimize_graph(graph, pipeline, tracer=tracer)
     return result.graph, result.stats
 
 

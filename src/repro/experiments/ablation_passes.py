@@ -21,9 +21,10 @@ CSV carries the full pipeline breakdown.
 
 from __future__ import annotations
 
+import gc
 from typing import Sequence
 
-from ..engine import get_engine
+from ..engine import Engine
 from ..hardware.device import get_device
 from ..frontend import load
 from ..passes import default_pipeline, unfuse_activations
@@ -63,9 +64,8 @@ def run_pass_ablation(
             ("optimized", pass_result.graph, pass_result.total_rewrites,
              pass_result.elapsed_s),
         ]
-        engine = get_engine(spec, variant=variant)
         for label, graph, rewrites, pass_time_s in variants:
-            compiled = engine.compile(graph)
+            compiled = _timed_compile(Engine(spec, variant=variant), graph)
             search = compiled.schedule_result()
             table.add_row(
                 model=model,
@@ -85,3 +85,20 @@ def run_pass_ablation(
                 pass_time_s=stat.elapsed_s,
             )
     return table
+
+
+def _timed_compile(engine: Engine, graph):
+    """Compile ``graph`` with a full search and the cyclic GC paused, as ``timeit`` does.
+
+    Each row gets a fresh engine and bypasses the process-wide schedule memo,
+    so ``search_s`` always times a real search; a collection landing inside a
+    millisecond-scale search would otherwise dominate it.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return engine.compile(graph, use_cache=False)
+    finally:
+        if was_enabled:
+            gc.enable()

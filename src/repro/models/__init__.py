@@ -12,7 +12,6 @@ from .common import (
     BENCHMARK_MODELS,
     MODEL_REGISTRY,
     ModelSpec,
-    build_model,
     default_optimize,
     list_models,
     model_specs,
@@ -40,7 +39,6 @@ __all__ = [
     "BENCHMARK_MODELS",
     "MODEL_REGISTRY",
     "ModelSpec",
-    "build_model",
     "default_optimize",
     "list_models",
     "model_specs",

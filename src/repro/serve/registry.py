@@ -26,20 +26,19 @@ where ``<model>`` is the registry key's model string passed through
 searched for.  The fingerprint is part of the key: a schedule compiled for a
 pass-optimised graph can never be served for the raw graph (or vice versa),
 and entries persisted before a model definition changed simply miss instead of
-silently replaying stale stages.  Legacy fingerprint-less files (the pre-
-fingerprint layout) are treated as misses with a warning.
+silently replaying stale stages.  A file without a fingerprint in its name
+is never opened.
 
-Each file is a full :meth:`CompiledModel.to_dict` artifact.  Files written by
-older versions (bare ``Schedule.to_dict()`` documents) still load: the
-registry falls back to the schedule form and lowers it against the served
-graph.
+Each file is a full :meth:`CompiledModel.to_dict` artifact.  A file that does
+not hold one (truncated JSON, a bare ``Schedule.to_dict()`` document, an
+artifact that no longer validates) is deleted, counted in
+:attr:`RegistryStats.corrupt_entries` and recompiled.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -57,22 +56,7 @@ from ..frontend import load
 from ..obs.trace import NULL_TRACER, Tracer
 
 __all__ = ["RegistryKey", "RegistryStats", "RegistryError", "ScheduleRegistry",
-           "model_dirname", "reset_legacy_warnings"]
-
-#: Legacy entries already warned about, shared across registry instances.  A
-#: serving fleet builds one registry per worker over the same root; warning
-#: once per file *per process* (not per instance, and certainly not per
-#: lookup) keeps the log readable while still surfacing the stale file.
-_WARNED_LEGACY_PATHS: set[Path] = set()
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which legacy entries have already been warned about.
-
-    Test helper: lets a fresh test observe the warning again without
-    spawning a new process.
-    """
-    _WARNED_LEGACY_PATHS.clear()
+           "model_dirname"]
 
 
 def model_dirname(model: str) -> str:
@@ -95,36 +79,26 @@ class RegistryKey:
     """Identity of one specialised schedule.
 
     ``fingerprint`` is the structural fingerprint of the graph the schedule
-    belongs to; an empty string marks a legacy (pre-fingerprint) entry, which
-    the registry never serves.
+    belongs to.
     """
 
     model: str
     batch_size: int
     device: str
-    variant: str = "ios-both"
-    fingerprint: str = ""
+    variant: str
+    fingerprint: str
 
     def filename(self) -> str:
         """The on-disk artifact name: ``device__variant__bsN__fingerprint.json``."""
-        stem = f"{self.device}__{self.variant}__bs{self.batch_size}"
-        if self.fingerprint:
-            stem += f"__{self.fingerprint}"
-        return f"{stem}.json"
+        return f"{self.device}__{self.variant}__bs{self.batch_size}__{self.fingerprint}.json"
 
     @classmethod
     def from_path(cls, model: str, path: Path) -> "RegistryKey":
         """Parse a persisted :meth:`filename` back into a key (or raise)."""
         parts = path.stem.split("__")
-        if len(parts) == 3:
-            device, variant, batch = parts
-            fingerprint = ""
-        elif len(parts) == 4:
-            device, variant, batch, fingerprint = parts
-        else:
+        if len(parts) != 4 or not parts[2].startswith("bs"):
             raise ValueError(f"malformed registry filename: {path.name}")
-        if not batch.startswith("bs"):
-            raise ValueError(f"malformed registry filename: {path.name}")
+        device, variant, batch, fingerprint = parts
         return cls(model=model, batch_size=int(batch[2:]), device=device,
                    variant=variant, fingerprint=fingerprint)
 
@@ -145,7 +119,6 @@ class RegistryStats:
     disk_hits: int = 0
     searches: int = 0
     corrupt_entries: int = 0
-    legacy_entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -160,7 +133,6 @@ class RegistryStats:
             "disk_hits": self.disk_hits,
             "searches": self.searches,
             "corrupt_entries": self.corrupt_entries,
-            "legacy_entries": self.legacy_entries,
         }
 
 
@@ -342,7 +314,7 @@ class ScheduleRegistry:
         """Batch sizes with a servable entry for ``(model, device)``.
 
         Disk entries only count when their fingerprint matches the graph this
-        registry would serve today — legacy or stale files are not servable.
+        registry would serve today — stale files are not servable.
         """
         device_name = device if isinstance(device, str) else device.name
         sizes = {
@@ -358,9 +330,7 @@ class ScheduleRegistry:
                         key = RegistryKey.from_path(model, path)
                     except ValueError:
                         continue
-                    if key.fingerprint and key.fingerprint == self.fingerprint_for(
-                        model, key.batch_size
-                    ):
+                    if key.fingerprint == self.fingerprint_for(model, key.batch_size):
                         sizes.add(key.batch_size)
         return sorted(sizes)
 
@@ -368,9 +338,9 @@ class ScheduleRegistry:
         """Every key present in memory or on disk — a raw inventory.
 
         Unlike :meth:`cached_batch_sizes`, this does *not* filter by the
-        currently-served graph: legacy fingerprint-less entries and entries
-        fingerprinted for an older model definition are listed too, even
-        though :meth:`get` would treat them as misses and recompile.
+        currently-served graph: entries fingerprinted for an older model
+        definition are listed too, even though :meth:`get` would treat them as
+        misses and recompile.
         """
         found = set(self._cache)
         if self.root is not None and self.root.is_dir():
@@ -387,54 +357,29 @@ class ScheduleRegistry:
     # ------------------------------------------------------------ persistence
     def _load(self, key: RegistryKey, device: DeviceSpec) -> CompiledModel | None:
         path = self.path_for(key)
-        if path is None:
-            return None
-        if not path.exists():
-            self._warn_if_legacy(key, path)
+        if path is None or not path.exists():
             return None
         try:
             data = json.loads(path.read_text())
         except json.JSONDecodeError:
             self._drop_corrupt(path)
             return None
+        if not CompiledModel.is_artifact(data):
+            self._drop_corrupt(path)
+            return None
+        if data.get("format_version") != ARTIFACT_VERSION:
+            # A different (likely newer) artifact format: miss without
+            # deleting, so a rollback or mixed-version deployment sharing a
+            # registry dir cannot destroy the other version's entries.
+            return None
+        try:
+            compiled = CompiledModel.from_dict(data, device=device, profile=self.profile)
+        except (KeyError, TypeError, ValueError):
+            # A hand-edited or half-written artifact must not take the
+            # service down: drop the entry and fall through to a compile.
+            self._drop_corrupt(path)
+            return None
         expected_graph = self.graph_for(key.model, key.batch_size)
-        if CompiledModel.is_artifact(data):
-            if data.get("format_version") != ARTIFACT_VERSION:
-                # A different (likely newer) artifact format: miss without
-                # deleting, so a rollback or mixed-version deployment sharing
-                # a registry dir cannot destroy the other version's entries.
-                return None
-            try:
-                compiled = CompiledModel.from_dict(data, device=device, profile=self.profile)
-            except (KeyError, TypeError, ValueError):
-                # A hand-edited or half-written artifact must not take the
-                # service down: drop the entry and fall through to a compile.
-                self._drop_corrupt(path)
-                return None
-        else:
-            # Pre-engine layout: the file is a bare Schedule document.  Check
-            # provenance before lowering it against today's served graph.
-            try:
-                schedule = Schedule.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                self._drop_corrupt(path)
-                return None
-            if schedule.graph_name != expected_graph.name:
-                raise RegistryError(
-                    f"registry entry {path} holds a schedule for graph "
-                    f"{schedule.graph_name!r}, expected {expected_graph.name!r}"
-                )
-            try:
-                compiled = CompiledModel.from_schedule(
-                    expected_graph, schedule, device,
-                    profile=self.profile, variant=self.variant,
-                )
-            except (KeyError, TypeError, ValueError):
-                # Right graph name but stages that no longer validate against
-                # today's graph (e.g. renamed operators behind an unchanged
-                # rename-invariant fingerprint): drop and recompile.
-                self._drop_corrupt(path)
-                return None
         if compiled.schedule.graph_name != expected_graph.name:
             raise RegistryError(
                 f"registry entry {path} holds a schedule for graph "
@@ -445,32 +390,6 @@ class ScheduleRegistry:
     def _drop_corrupt(self, path: Path) -> None:
         self.stats.corrupt_entries += 1
         path.unlink(missing_ok=True)
-
-    def _warn_if_legacy(self, key: RegistryKey, path: Path) -> None:
-        """Warn (once per file per process) when only a fingerprint-less entry
-        exists.
-
-        A legacy file may have been searched for a different graph than the
-        one this registry serves today, so reusing it silently could replay a
-        stale schedule; it is treated as a miss and left on disk untouched.
-        The warned-set is shared across registry instances — fleets create
-        one registry per worker over the same root, and each worker probing
-        the same stale file must not multiply the warning.
-        """
-        legacy_path = path.with_name(
-            RegistryKey(key.model, key.batch_size, key.device, key.variant).filename()
-        )
-        if not legacy_path.exists():
-            return
-        self.stats.legacy_entries += 1
-        if legacy_path not in _WARNED_LEGACY_PATHS:
-            _WARNED_LEGACY_PATHS.add(legacy_path)
-            warnings.warn(
-                f"ignoring legacy schedule entry {legacy_path} (no graph "
-                f"fingerprint in its key; expected {key.fingerprint!r}): "
-                "recompiling instead of risking a stale schedule",
-                stacklevel=3,
-            )
 
     def _persist(self, key: RegistryKey, compiled: CompiledModel) -> None:
         path = self.path_for(key)

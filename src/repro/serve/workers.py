@@ -10,9 +10,7 @@ the worker's device, never by a pool-wide one.
 *Which* worker a batch goes to is the router's decision
 (:mod:`repro.serve.fleet`) — the pool only executes: :meth:`WorkerPool.dispatch`
 runs an execution plan on the chosen worker, advances its horizon, and
-returns the batch timeline.  :meth:`WorkerPool.next_worker` remains as the
-legacy earliest-start rule that homogeneous pools used before routing became
-pluggable.
+returns the batch timeline.
 
 Execution plans come from :class:`~repro.engine.CompiledModel` artifacts via
 the schedule registry; the pool memoises them per
@@ -40,8 +38,7 @@ def earliest_start_worker(workers: Sequence["Worker"], ready_ms: float) -> "Work
     """The worker that can *start* a batch ready at ``ready_ms`` first.
 
     Ties break by worker id for determinism.  This is the single home of the
-    earliest-start tiebreak: :meth:`WorkerPool.next_worker` and the
-    ``earliest-start`` router both delegate here.
+    earliest-start tiebreak: the ``earliest-start`` router delegates here.
     """
     return min(
         workers,
@@ -160,14 +157,6 @@ class WorkerPool:
         return list(seen.values())
 
     # ---------------------------------------------------------------- dispatch
-    def next_worker(self, ready_ms: float) -> Worker:
-        """The earliest-start worker for a batch ready at ``ready_ms``.
-
-        The legacy homogeneous dispatch rule, kept for direct pool users;
-        the service routes through :mod:`repro.serve.fleet` instead.
-        """
-        return earliest_start_worker(self.workers, ready_ms)
-
     def execution_result(self, graph: Graph, schedule: Schedule, worker: Worker,
                          plan: ExecutionPlan | None = None) -> ExecutionResult:
         """The memoised simulated execution of the plan on the worker's device.

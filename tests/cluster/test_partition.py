@@ -7,12 +7,12 @@ import pytest
 from repro.cluster import PartitionError, partition_graph
 from repro.engine import Engine
 from repro.ir import validate_graph
-from repro.models import build_model
+from repro.frontend import load
 
 
 @pytest.fixture(scope="module")
 def squeezenet():
-    return build_model("squeezenet", 1)
+    return load("squeezenet", 1)
 
 
 class TestPartitionGraph:
@@ -56,7 +56,7 @@ class TestPartitionGraph:
 
     def test_deterministic(self, squeezenet):
         first = partition_graph(squeezenet, 3, model="squeezenet")
-        second = partition_graph(build_model("squeezenet", 1), 3, model="squeezenet")
+        second = partition_graph(load("squeezenet", 1), 3, model="squeezenet")
         assert first.stages == second.stages
 
     def test_single_stage_is_the_whole_model(self, squeezenet):

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from repro.engine import ARTIFACT_FORMAT, CompiledModel, Engine
-from repro.models import build_model
+from repro.frontend import load
 
 
 @pytest.fixture(scope="module")
 def compiled(v100):
-    return Engine(v100).compile(build_model("squeezenet", batch_size=2, optimize=False))
+    return Engine(v100).compile(load("squeezenet", batch_size=2, optimize=False))
 
 
 class TestRoundTrip:
@@ -147,7 +147,7 @@ class TestEngineWarmStart:
         assert warm.stats.loads == 1
         # Compiling the same source graph now hits the loaded artifact: the
         # warm engine performs zero scheduler searches.
-        again = warm.compile(build_model("squeezenet", batch_size=2, optimize=False))
+        again = warm.compile(load("squeezenet", batch_size=2, optimize=False))
         assert again is loaded
         assert warm.stats.searches == 0
         assert warm.stats.cache_hits == 1

@@ -1,5 +1,5 @@
-"""The unified model-source API: load(), format detection, the zoo shim,
-and the third-party operator extension path."""
+"""The unified model-source API: load(), format detection and the
+third-party operator extension path."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.ir import (
     register_operator,
 )
 from repro.ir.serialization import graph_from_dict, graph_to_dict
-from repro.models import build_model, resolve_zoo_builder
+from repro.models import resolve_zoo_builder
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -102,24 +102,6 @@ class TestLoad:
             assert "ffn_act" not in load("transformer_block").nodes
         finally:
             set_default_optimize(previous)
-
-
-class TestBuildModelShim:
-    def test_build_model_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="repro.frontend.load"):
-            graph = build_model("squeezenet", batch_size=2)
-        assert graph_fingerprint(graph) == graph_fingerprint(
-            load("squeezenet", batch_size=2)
-        )
-
-    def test_build_model_accepts_paths_too(self):
-        # build_model's legacy default batch_size=1 re-batches the imported
-        # graph (64 token rows) down to one row; load() with the same batch
-        # size must agree exactly.
-        with pytest.warns(DeprecationWarning):
-            graph = build_model(str(EXAMPLES / "transformer_block.json"))
-        expected = load(EXAMPLES / "transformer_block.json", batch_size=1)
-        assert graph_fingerprint(graph) == graph_fingerprint(expected)
 
 
 class _Quantize(Operator):

@@ -15,7 +15,7 @@ from repro.core import (
     sequential_schedule,
 )
 from repro.frameworks import get_framework
-from repro.models import build_model
+from repro.frontend import load
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def v100():
 
 @pytest.fixture(scope="module")
 def squeezenet():
-    return build_model("squeezenet", batch_size=1)
+    return load("squeezenet", batch_size=1)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestSqueezeNetEndToEnd:
 class TestInceptionEndToEnd:
     @pytest.fixture(scope="class")
     def inception(self):
-        return build_model("inception_v3", batch_size=1)
+        return load("inception_v3", batch_size=1)
 
     @pytest.fixture(scope="class")
     def ios_result(self, inception, v100):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from repro.core import Schedule, Stage
-from repro.models import chain_graph
+from repro.models import chain_graph, figure2_block
 from repro.serve import RegistryError, RegistryKey, ScheduleRegistry
 
 
@@ -90,12 +92,9 @@ class TestPutAndEnumeration:
         parsed = RegistryKey.from_path("m", Path(key.filename()))
         assert parsed == key
 
-    def test_legacy_filename_round_trips_with_empty_fingerprint(self):
-        legacy = RegistryKey("m", 4, "v100", "ios-both")
-        assert legacy.filename() == "v100__ios-both__bs4.json"
-        parsed = RegistryKey.from_path("m", Path(legacy.filename()))
-        assert parsed == legacy
-        assert parsed.fingerprint == ""
+    def test_legacy_filename_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed registry filename"):
+            RegistryKey.from_path("m", Path("v100__ios-both__bs4.json"))
 
     def test_key_embeds_the_served_graph_fingerprint(self, registry, v100):
         from repro.ir import graph_fingerprint
@@ -133,71 +132,35 @@ class TestFailureModes:
         assert fresh.stats.searches == 1
 
     def test_entry_for_wrong_graph_raises(self, registry, tmp_path, v100):
+        from repro.engine import Engine
+
         key = registry.key("m", 1, v100)
         path = registry.path_for(key)
-        Schedule(graph_name="other_graph", stages=[Stage(operators=("x",))]).save(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        Engine(v100).compile(figure2_block()).save(path)
         with pytest.raises(RegistryError):
             registry.get("m", 1, v100)
 
-    def test_legacy_entry_is_a_miss_with_a_warning(self, registry, tmp_path, v100):
-        # An entry persisted before fingerprints may describe a different
-        # graph: it must be recompiled, not silently reused.
+    def test_legacy_entry_is_ignored_without_a_warning(self, registry, tmp_path, v100):
+        # A file persisted before fingerprints may describe a different
+        # graph: it is never opened, and the lookup recompiles instead.
         compiled = registry.get("m", 1, v100)
         key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
+        legacy_path = tmp_path / "m" / "v100__ios-both__bs1.json"
         registry.path_for(key).rename(legacy_path)
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning, match="legacy schedule entry"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             reloaded = fresh.get("m", 1, v100)
         assert fresh.stats.searches == 1
         assert fresh.stats.disk_hits == 0
-        assert fresh.stats.legacy_entries == 1
+        assert fresh.stats.corrupt_entries == 0
         assert reloaded == compiled  # same graph => same recompiled schedule
         # The legacy file stays on disk untouched; the new entry sits beside it.
         assert legacy_path.exists()
         assert fresh.path_for(key).exists()
-
-    def test_legacy_warning_fires_once_across_instances(self, registry, tmp_path, v100):
-        # A fleet builds one registry per worker over the same root: the
-        # stale-file warning must fire once per process, not once per
-        # registry instance probing the same file.
-        registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
-        registry.path_for(key).rename(legacy_path)
-
-        first = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning, match="legacy schedule entry"):
-            first.get("m", 1, v100)
-        # Remove the fresh entry the first instance persisted so the second
-        # instance takes the same legacy-probing path.
-        first.path_for(key).unlink()
-
-        second = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second.get("m", 1, v100)
-        # The probe still counts the stale file even though it stays quiet.
-        assert second.stats.legacy_entries == 1
-
-    def test_legacy_warning_fires_once_per_file(self, registry, tmp_path, v100):
-        registry.get("m", 1, v100)
-        key = registry.key("m", 1, v100)
-        legacy_path = tmp_path / "m" / RegistryKey("m", 1, "v100", "ios-both").filename()
-        registry.path_for(key).rename(legacy_path)
-
-        fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
-        with pytest.warns(UserWarning):
-            fresh.get("m", 1, v100)
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            # Entry now resolves from memory/disk; no further warning.
-            fresh.get("m", 1, v100)
+        assert fresh.keys() == [key]
 
     def test_changed_graph_misses_instead_of_reusing_stale_schedule(
             self, registry, tmp_path, v100):
@@ -257,19 +220,23 @@ class TestCompiledArtifacts:
         assert registry.get("m", 2, v100) is compiled.schedule
         assert registry.stats.memory_hits == 1
 
-    def test_legacy_schedule_document_still_loads(self, registry, tmp_path, v100):
-        # Files written before the artifact format (bare Schedule.to_dict())
-        # must load as a disk hit, lowered against today's served graph.
+    def test_legacy_schedule_document_is_dropped(
+            self, registry, tmp_path, v100):
+        # A bare Schedule.to_dict() under a fingerprinted name is not an
+        # artifact: it is dropped as corrupt and replaced by a fresh one.
+        from repro.engine import CompiledModel
+
         compiled = registry.get_compiled("m", 1, v100)
         path = registry.path_for(registry.key("m", 1, v100))
         compiled.schedule.save(path)  # overwrite with the pre-engine layout
 
         fresh = ScheduleRegistry(root=tmp_path, graph_builder=chain_builder)
         reloaded = fresh.get_compiled("m", 1, v100)
-        assert fresh.stats.disk_hits == 1
-        assert fresh.stats.searches == 0
+        assert fresh.stats.corrupt_entries == 1
+        assert fresh.stats.disk_hits == 0
+        assert fresh.stats.searches == 1
         assert reloaded.schedule == compiled.schedule
-        assert reloaded.plan.num_stages() == compiled.plan.num_stages()
+        assert CompiledModel.is_artifact(json.loads(path.read_text()))
 
     def test_legacy_schedule_with_stale_operator_names_is_dropped(
             self, registry, tmp_path, v100):
@@ -289,8 +256,6 @@ class TestCompiledArtifacts:
             self, registry, tmp_path, v100):
         # A mixed-version or rolled-back deployment sharing a registry dir
         # must never destroy the other version's entries on sight.
-        import json
-
         registry.get("m", 1, v100)
         key = registry.key("m", 1, v100)
         path = registry.path_for(key)

@@ -7,6 +7,7 @@ import pytest
 from repro.core import IOSScheduler, SimulatedCostModel
 from repro.models import chain_graph
 from repro.serve import WorkerPool
+from repro.serve.workers import earliest_start_worker
 
 
 @pytest.fixture
@@ -41,9 +42,9 @@ class TestWorkerPool:
 
     def test_next_worker_prefers_the_idle_one(self, graph, schedule, v100):
         pool = WorkerPool([v100, v100])
-        worker = pool.next_worker(0.0)
+        worker = earliest_start_worker(pool.workers, 0.0)
         pool.dispatch(graph, schedule, worker, ready_ms=0.0)
-        other = pool.next_worker(0.0)
+        other = earliest_start_worker(pool.workers, 0.0)
         assert other.worker_id != worker.worker_id
 
     def test_plan_latency_is_cached_and_deterministic(self, graph, schedule, v100):
@@ -65,7 +66,7 @@ class TestWorkerPool:
     def test_summary_accounts_for_all_dispatches(self, graph, schedule, v100):
         pool = WorkerPool([v100, v100])
         for _ in range(4):
-            worker = pool.next_worker(0.0)
+            worker = earliest_start_worker(pool.workers, 0.0)
             pool.dispatch(graph, schedule, worker, ready_ms=0.0)
         summary = pool.summary()
         assert sum(row["batches"] for row in summary) == 4

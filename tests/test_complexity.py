@@ -14,8 +14,8 @@ from repro.core import (
     relaxed_transition_bound,
     transition_upper_bound,
 )
+from repro.frontend import load
 from repro.models import (
-    build_model,
     chain_graph,
     diamond_graph,
     figure5_graph,
@@ -100,13 +100,13 @@ class TestCounting:
 
 class TestBlockComplexity:
     def test_largest_block_selection(self):
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         block = largest_block(graph)
         sizes = [len(graph.schedulable_names(b)) for b in graph.blocks]
         assert len(graph.schedulable_names(block)) == max(sizes)
 
     def test_block_complexity_row(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         row = block_complexity(graph)
         assert row.network == "squeezenet"
         assert row.num_operators >= 4
@@ -117,7 +117,7 @@ class TestBlockComplexity:
         assert "n" in row.as_row()
 
     def test_schedule_count_can_be_skipped(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         row = block_complexity(graph, count_schedule_space=False)
         assert row.num_schedules == -1
 

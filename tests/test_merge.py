@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import MergeError, build_merged_operator, can_merge, why_not_mergeable
 from repro.ir import Conv2d, GraphBuilder, TensorShape
-from repro.models import build_model, figure2_block
+from repro.frontend import load
+from repro.models import figure2_block
 
 
 @pytest.fixture
@@ -51,11 +52,11 @@ class TestEligibility:
         assert can_merge(fig3, ["conv_a", "conv_b"])
 
     def test_fire_module_expansions_mergeable(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         assert can_merge(graph, ["fire2_expand1x1", "fire2_expand3x3"])
 
     def test_inception_c_1x3_3x1_mergeable(self):
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         assert can_merge(graph, ["mixed_7c_b3_1x3", "mixed_7c_b3_3x1"])
 
 
@@ -88,7 +89,7 @@ class TestMergedOperator:
         assert merged.padding_overhead_flops > 0
 
     def test_merged_preserves_spatial_grid_for_asymmetric_kernels(self):
-        graph = build_model("inception_v3")
+        graph = load("inception_v3")
         merged = build_merged_operator(graph, ["mixed_7c_b3_1x3", "mixed_7c_b3_3x1"])
         assert merged.merged.kernel == (3, 3)
         assert merged.merged.output_shape.height == graph.nodes["mixed_7c_b3_1x3"].output_shape.height

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.frontend import load
 from repro.ir import Conv2d, SeparableConv2d, validate_graph
 from repro.models import (
     BENCHMARK_MODELS,
     INCEPTION_BLOCK_NAMES,
     MODEL_REGISTRY,
-    build_model,
     chain_graph,
     diamond_graph,
     figure2_block,
@@ -26,23 +26,23 @@ class TestRegistry:
         assert set(BENCHMARK_MODELS) <= set(list_models())
 
     def test_aliases(self):
-        assert build_model("InceptionV3").name == "inception_v3"
-        assert build_model("nasnet").name == "nasnet_a"
-        assert build_model("resnet50").name == "resnet_50"
+        assert load("InceptionV3").name == "inception_v3"
+        assert load("nasnet").name == "nasnet_a"
+        assert load("resnet50").name == "resnet_50"
 
     def test_unknown_model(self):
         with pytest.raises(KeyError):
-            build_model("transformer_xxl")
+            load("transformer_xxl")
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_every_registered_model_builds_and_validates(self, name):
-        graph = build_model(name, batch_size=1)
+        graph = load(name, batch_size=1)
         validate_graph(graph)
         assert graph.total_flops() > 0
         assert len(graph.operators()) >= 4
 
     def test_batch_size_parameter(self):
-        graph = build_model("squeezenet", batch_size=16)
+        graph = load("squeezenet", batch_size=16)
         assert graph.batch_size == 16
 
 
@@ -87,7 +87,7 @@ class TestToyGraphs:
 class TestInceptionV3:
     @pytest.fixture(scope="class")
     def graph(self):
-        return build_model("inception_v3", batch_size=1)
+        return load("inception_v3", batch_size=1)
 
     def test_size_close_to_reference(self, graph):
         # Real Inception V3: ~11.4 GFLOPs (batch 1, 299x299), ~23.8M parameters.
@@ -119,7 +119,7 @@ class TestInceptionV3:
 
 class TestSqueezeNet:
     def test_structure(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         fire_blocks = [b for b in graph.blocks if b.name.startswith("fire")]
         assert len(fire_blocks) == 8
         assert len(graph.blocks) == 10
@@ -128,7 +128,7 @@ class TestSqueezeNet:
         assert graph.total_params() / 1e6 == pytest.approx(1.25, rel=0.15)
 
     def test_fire_module_expands_share_input(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         e1 = graph.nodes["fire5_expand1x1"]
         e3 = graph.nodes["fire5_expand3x3"]
         assert e1.inputs == e3.inputs
@@ -137,24 +137,24 @@ class TestSqueezeNet:
 
 class TestRandWire:
     def test_deterministic_wiring(self):
-        a = build_model("randwire", seed=1)
-        b = build_model("randwire", seed=1)
+        a = load("randwire", seed=1)
+        b = load("randwire", seed=1)
         assert [op.name for op in a.operators()] == [op.name for op in b.operators()]
         assert a.edges() == b.edges()
 
     def test_different_seed_changes_wiring(self):
-        a = build_model("randwire", seed=1)
-        c = build_model("randwire", seed=99)
+        a = load("randwire", seed=1)
+        c = load("randwire", seed=99)
         assert a.edges() != c.edges()
 
     def test_three_randomly_wired_stages(self):
-        graph = build_model("randwire")
+        graph = load("randwire")
         stage_blocks = [b for b in graph.blocks if b.name.startswith("stage")]
         assert len(stage_blocks) == 3
         assert all(len(b) >= 20 for b in stage_blocks)
 
     def test_all_nodes_are_sepconv_or_aggregation(self):
-        graph = build_model("randwire")
+        graph = load("randwire")
         for name in graph.blocks[1].node_names:  # stage1
             op = graph.nodes[name]
             assert op.kind in ("sep_conv2d", "add")
@@ -169,7 +169,7 @@ class TestRandWire:
 class TestNasNet:
     @pytest.fixture(scope="class")
     def graph(self):
-        return build_model("nasnet_a", batch_size=1)
+        return load("nasnet_a", batch_size=1)
 
     def test_thirteen_cells(self, graph):
         cells = [b for b in graph.blocks if b.name.startswith("cell_")]
@@ -193,22 +193,22 @@ class TestNasNet:
 
 class TestResNetAndClassics:
     def test_resnet50_size(self):
-        graph = build_model("resnet_50")
+        graph = load("resnet_50")
         assert graph.total_flops() / 1e9 == pytest.approx(8.2, rel=0.15)
         assert graph.total_params() / 1e6 == pytest.approx(25.5, rel=0.15)
 
     def test_resnet_variants_monotone_size(self):
-        f18 = build_model("resnet_18").total_flops()
-        f34 = build_model("resnet_34").total_flops()
-        f50 = build_model("resnet_50").total_flops()
+        f18 = load("resnet_18").total_flops()
+        f34 = load("resnet_34").total_flops()
+        f50 = load("resnet_50").total_flops()
         assert f18 < f34
         assert f34 < f50 * 1.2
 
     def test_vgg16_is_conv_heavy(self):
-        graph = build_model("vgg_16")
+        graph = load("vgg_16")
         assert graph.total_flops() / 1e9 == pytest.approx(31, rel=0.10)
         assert graph.total_params() / 1e6 == pytest.approx(138, rel=0.10)
 
     def test_alexnet_builds(self):
-        graph = build_model("alexnet")
+        graph = load("alexnet")
         assert graph.total_params() / 1e6 == pytest.approx(61, rel=0.15)

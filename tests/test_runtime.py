@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.models import build_model, figure2_block
+from repro.frontend import load
+from repro.models import figure2_block
 from repro.runtime import (
     ExecutionPlan,
     ExecutionStage,
@@ -136,7 +137,7 @@ class TestWarpTrace:
 
 class TestMemoryPlanner:
     def test_liveness_reuse_smaller_than_sum(self):
-        graph = build_model("squeezenet", batch_size=8)
+        graph = load("squeezenet", batch_size=8)
         reuse = MemoryPlanner(activation_reuse=True).plan(graph)
         hoard = MemoryPlanner(activation_reuse=False).plan(graph)
         assert reuse.peak_activation_bytes < hoard.peak_activation_bytes

@@ -13,7 +13,8 @@ from repro.core import (
     greedy_schedule,
     sequential_schedule,
 )
-from repro.models import build_model, figure2_block
+from repro.frontend import load
+from repro.models import figure2_block
 
 
 class TestStage:
@@ -147,7 +148,7 @@ class TestBaselines:
         schedule.validate(fig2)
 
     def test_greedy_on_full_network(self):
-        graph = build_model("squeezenet")
+        graph = load("squeezenet")
         schedule = greedy_schedule(graph)
         schedule.validate(graph)
         assert schedule.num_stages() < len(graph.operators())
