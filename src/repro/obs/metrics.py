@@ -103,7 +103,9 @@ class Counter(Metric):
             raise ValueError(
                 f"counter {self.name!r} can only increase; got inc({value})"
             )
-        key = _label_key(labels)
+        self._inc(_label_key(labels), value)
+
+    def _inc(self, key: _LabelKey, value: float) -> None:
         self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -139,9 +141,11 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels) -> None:
         """Overwrite the series value (the high-water mark is kept too)."""
-        key = _label_key(labels)
-        self._series[key] = float(value)
-        self._max[key] = max(self._max.get(key, float("-inf")), float(value))
+        self._set(_label_key(labels), float(value))
+
+    def _set(self, key: _LabelKey, value: float) -> None:
+        self._series[key] = value
+        self._max[key] = max(self._max.get(key, float("-inf")), value)
 
     def add(self, delta: float, **labels) -> None:
         """Adjust the series by ``delta`` (convenience for up/down tracking)."""
@@ -177,7 +181,10 @@ class Histogram(Metric):
 
     def observe(self, value: float, **labels) -> None:
         """Record one observation in the series selected by ``labels``."""
-        self._series.setdefault(_label_key(labels), []).append(float(value))
+        self._observe(_label_key(labels), float(value))
+
+    def _observe(self, key: _LabelKey, value: float) -> None:
+        self._series.setdefault(key, []).append(value)
 
     def values(self, **labels) -> list[float]:
         """All observations of one series, in observation order."""

@@ -85,18 +85,27 @@ class _TrackReservoir:
         self.kept: list[tuple[int, TraceRecord]] = []
         self.dropped = 0
 
-    def offer(self, seq: int, record: TraceRecord) -> None:
+    def admits(self) -> bool:
+        """Stride test for the track's next record (counts it seen/dropped)."""
         index = self.seen
         self.seen += 1
         if index % self.stride:
             self.dropped += 1
-            return
-        self.kept.append((seq, record))
-        if len(self.kept) >= self.budget:
-            # Halve: drop every other kept record, double the stride.
-            self.dropped += len(self.kept) - (len(self.kept) + 1) // 2
-            self.kept = self.kept[::2]
-            self.stride *= 2
+            return False
+        return True
+
+    def keep(self, seq: int, record: TraceRecord) -> int:
+        """Retain an admitted record; returns the change in retained records."""
+        kept = self.kept
+        kept.append((seq, record))
+        if len(kept) < self.budget:
+            return 1
+        # Halve: drop every other kept record, double the stride.
+        halved = kept[::2]
+        self.dropped += len(kept) - len(halved)
+        self.kept = halved
+        self.stride *= 2
+        return 1 + len(halved) - len(kept)
 
 
 class SamplingTracer(Tracer):
@@ -121,7 +130,11 @@ class SamplingTracer(Tracer):
         self._evictable: list[tuple[int, float, int]] = []
         self._tracks: dict[str, _TrackReservoir] = {}
         self._exempt: list[tuple[int, TraceRecord]] = []
+        #: Running counts behind the O(1) ``len()``: records in kept groups,
+        #: in still-open lifecycle buffers and in the track reservoirs.
         self._kept_request_records = 0
+        self._open_request_records = 0
+        self._track_records = 0
         self._stats = {
             "requests_total": 0, "requests_kept": 0, "requests_dropped": 0,
             "slo_miss_kept": 0, "rejected_kept": 0, "head_kept": 0,
@@ -157,6 +170,8 @@ class SamplingTracer(Tracer):
         self._tracks.clear()
         self._exempt.clear()
         self._kept_request_records = 0
+        self._open_request_records = 0
+        self._track_records = 0
         for key in self._stats:
             self._stats[key] = 0
 
@@ -167,13 +182,32 @@ class SamplingTracer(Tracer):
     def __len__(self) -> int:
         return (
             self._kept_request_records
-            + sum(len(group) for _, group in self._open.values())
-            + sum(len(reservoir.kept) for reservoir in self._tracks.values())
+            + self._open_request_records
+            + self._track_records
             + len(self._exempt)
         )
 
     # -------------------------------------------------------------- ingestion
-    def _ingest(self, record: TraceRecord) -> None:
+    def _admits(self, track: str, category: str, correlation: int | None = None) -> bool:
+        """Whether the next record is retained at all, decided before it is built.
+
+        Request-lifecycle and exempt records always enter; a track record
+        asks its reservoir's stride test.  A rejected record only consumes
+        its sequence number, so the merge order of the rest is unchanged.
+        """
+        if (
+            category == "request" and correlation is not None
+        ) or category in _EXEMPT_CATEGORIES:
+            return True
+        reservoir = self._tracks.get(track)
+        if reservoir is None:
+            reservoir = self._tracks[track] = _TrackReservoir(self.config.track_budget)
+        if reservoir.admits():
+            return True
+        self._seq += 1
+        return False
+
+    def _append(self, record: TraceRecord) -> None:
         seq = self._seq
         self._seq += 1
         if record.category == "request" and record.correlation is not None:
@@ -181,20 +215,13 @@ class SamplingTracer(Tracer):
         elif record.category in _EXEMPT_CATEGORIES:
             self._exempt.append((seq, record))
         else:
-            reservoir = self._tracks.get(record.track)
-            if reservoir is None:
-                reservoir = _TrackReservoir(self.config.track_budget)
-                self._tracks[record.track] = reservoir
-            reservoir.offer(seq, record)
+            self._track_records += self._tracks[record.track].keep(seq, record)
         retained = len(self)
         if retained > self._stats["peak_retained"]:
             self._stats["peak_retained"] = retained
-        request_records = self._kept_request_records + self._open_records()
+        request_records = self._kept_request_records + self._open_request_records
         if request_records > self._stats["peak_request_records"]:
             self._stats["peak_request_records"] = request_records
-
-    def _open_records(self) -> int:
-        return sum(len(group) for _, group in self._open.values())
 
     def _ingest_request(self, seq: int, record: TraceRecord) -> None:
         correlation = record.correlation
@@ -202,6 +229,7 @@ class SamplingTracer(Tracer):
         if entry is None:
             # First record of a lifecycle: its name is the root span's name.
             self._open[correlation] = (record.name, [(seq, record)])
+            self._open_request_records += 1
             self._stats["requests_total"] += 1
             # An opening buffer counts against the budget immediately — evict
             # settled discretionary groups now, so the *peak* of retained
@@ -210,8 +238,10 @@ class SamplingTracer(Tracer):
             return
         root_name, group = entry
         group.append((seq, record))
+        self._open_request_records += 1
         if record.kind == ASYNC_END and record.name == root_name:
             del self._open[correlation]
+            self._open_request_records -= len(group)
             self._decide(correlation, group)
         else:
             self._enforce_budget()
@@ -220,9 +250,14 @@ class SamplingTracer(Tracer):
     def _decide(self, correlation: int, group: list[tuple[int, TraceRecord]]) -> None:
         """Keep or drop one closed lifecycle group, then enforce the budget."""
         config = self.config
+        # A lifecycle that never began (its first record is an end) is
+        # measured from that first record.
         root_begin = next(
-            record for _, record in group
-            if record.kind == ASYNC_BEGIN and record.correlation == correlation
+            (
+                record for _, record in group
+                if record.kind == ASYNC_BEGIN and record.correlation == correlation
+            ),
+            group[0][1],
         )
         root_end = group[-1][1]
         end_args = root_end.args or {}
@@ -255,9 +290,9 @@ class SamplingTracer(Tracer):
         retained request records — not just the settled count — honours
         ``max_records`` whenever discretionary groups remain to shed.
         """
-        open_records = self._open_records()
         while (
-            self._kept_request_records + open_records > self.config.max_records
+            self._kept_request_records + self._open_request_records
+            > self.config.max_records
             and self._evictable
         ):
             is_head_key, _, victim = heapq.heappop(self._evictable)
@@ -273,45 +308,28 @@ class SamplingTracer(Tracer):
 
     # ------------------------------------------------------------- recording
     def add_span(self, name, track, start_ms, end_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="span", name=name, track=track, ts_ms=start_ms,
-                dur_ms=max(0.0, end_ms - start_ms), category=category, args=args,
-            )
-        )
+        if self._admits(track, category):
+            super().add_span(name, track, start_ms, end_ms, category=category, args=args)
 
     def instant(self, name, track, ts_ms=None, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="instant", name=name, track=track,
-                ts_ms=self.now_ms() if ts_ms is None else ts_ms,
-                category=category, args=args,
-            )
-        )
+        if self._admits(track, category):
+            super().instant(name, track, ts_ms, category=category, args=args)
 
     def counter(self, name, track, ts_ms, values):
-        self._ingest(
-            TraceRecord(
-                kind="counter", name=name, track=track, ts_ms=ts_ms,
-                args=dict(values),
-            )
-        )
+        if self._admits(track, ""):
+            super().counter(name, track, ts_ms, values)
 
     def async_begin(self, name, track, correlation, ts_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="async_begin", name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
+        if self._admits(track, category, correlation):
+            super().async_begin(
+                name, track, correlation, ts_ms, category=category, args=args
             )
-        )
 
     def async_end(self, name, track, correlation, ts_ms, *, category="", args=None):
-        self._ingest(
-            TraceRecord(
-                kind="async_end", name=name, track=track, ts_ms=ts_ms,
-                category=category, correlation=correlation, args=args,
+        if self._admits(track, category, correlation):
+            super().async_end(
+                name, track, correlation, ts_ms, category=category, args=args
             )
-        )
 
     # --------------------------------------------------------------- metadata
     def sampling_metadata(self) -> Mapping[str, object]:

@@ -242,11 +242,10 @@ class _WindowedFamily(Metric):
         self._registry: "TimeSeriesRegistry | None" = None
         self._windows: dict[tuple, WindowedSeries] = {}
 
-    def _window_record(self, labels: dict, value: float) -> None:
+    def _window_record(self, key: tuple, value: float) -> None:
         registry = self._registry
         if registry is None:
             return
-        key = _label_key(labels)
         series = self._windows.get(key)
         if series is None:
             series = WindowedSeries(
@@ -273,9 +272,9 @@ class WindowedCounter(_WindowedFamily, Counter):
 
     _window_kind = "counter"
 
-    def inc(self, value: float = 1.0, **labels) -> None:
-        super().inc(value, **labels)
-        self._window_record(labels, value)
+    def _inc(self, key: tuple, value: float) -> None:
+        super()._inc(key, value)
+        self._window_record(key, value)
 
     def window_total(self, index: int) -> float:
         """Sum of increments across every label set in window ``index``."""
@@ -292,9 +291,9 @@ class WindowedGauge(_WindowedFamily, Gauge):
 
     _window_kind = "gauge"
 
-    def set(self, value: float, **labels) -> None:
-        super().set(value, **labels)
-        self._window_record(labels, float(value))
+    def _set(self, key: tuple, value: float) -> None:
+        super()._set(key, value)
+        self._window_record(key, value)
 
     def window_last(self, index: int, **labels) -> float | None:
         """Last value written in window ``index`` (one label set)."""
@@ -320,9 +319,9 @@ class WindowedHistogram(_WindowedFamily, Histogram):
 
     _window_kind = "histogram"
 
-    def observe(self, value: float, **labels) -> None:
-        super().observe(value, **labels)
-        self._window_record(labels, float(value))
+    def _observe(self, key: tuple, value: float) -> None:
+        super()._observe(key, value)
+        self._window_record(key, value)
 
     def window_sketch(self, index: int) -> StreamingQuantile | None:
         """Merged sketch across every label set in window ``index``."""

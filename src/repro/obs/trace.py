@@ -105,6 +105,10 @@ class Tracer:
         return self._clock() - self._epoch
 
     # --------------------------------------------------------------- recording
+    def _append(self, record: TraceRecord) -> None:
+        """Store one record (every recording method ends here; subclasses filter)."""
+        self.records.append(record)
+
     def add_span(
         self,
         name: str,
@@ -116,7 +120,7 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Record a complete span with explicit (e.g. virtual-clock) times."""
-        self.records.append(
+        self._append(
             TraceRecord(
                 kind=SPAN, name=name, track=track, ts_ms=start_ms,
                 dur_ms=max(0.0, end_ms - start_ms), category=category, args=args,
@@ -161,7 +165,7 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Record a zero-duration marker (batch close, scale event, reject)."""
-        self.records.append(
+        self._append(
             TraceRecord(
                 kind=INSTANT, name=name, track=track,
                 ts_ms=self.now_ms() if ts_ms is None else ts_ms,
@@ -177,7 +181,7 @@ class Tracer:
         values: Mapping[str, float],
     ) -> None:
         """Record a counter sample (rendered as a stacked area row)."""
-        self.records.append(
+        self._append(
             TraceRecord(
                 kind=COUNTER, name=name, track=track, ts_ms=ts_ms,
                 args=dict(values),
@@ -200,7 +204,7 @@ class Tracer:
         lane of the track, so concurrent request lifecycles each render as
         their own nested group instead of colliding on a single row.
         """
-        self.records.append(
+        self._append(
             TraceRecord(
                 kind=ASYNC_BEGIN, name=name, track=track, ts_ms=ts_ms,
                 category=category, correlation=correlation, args=args,
@@ -218,7 +222,7 @@ class Tracer:
         args: Mapping[str, object] | None = None,
     ) -> None:
         """Close the async span opened with the same ``(category, correlation)``."""
-        self.records.append(
+        self._append(
             TraceRecord(
                 kind=ASYNC_END, name=name, track=track, ts_ms=ts_ms,
                 category=category, correlation=correlation, args=args,

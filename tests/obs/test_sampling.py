@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     SamplingConfig,
     SamplingTracer,
+    Tracer,
     parse_sampling_spec,
     validate_chrome_trace,
 )
+from repro.obs import sampling, trace
 from repro.obs.export import chrome_trace
 
 
@@ -205,3 +209,146 @@ class TestTailSampling:
         assert len(tracer) == 0
         assert tracer.records == []
         assert tracer.sampling_metadata()["requests"]["total"] == 0
+
+    def test_lifecycle_opened_by_an_end_does_not_crash(self):
+        # An end with no matching begin closes the group it opened; the
+        # lifecycle is measured from that first record, with no deadline.
+        plain, sampled = Tracer(), SamplingTracer()
+        for tracer in (plain, sampled):
+            for _ in range(2):
+                tracer.async_end(
+                    "request 1", "serving/requests", 1, 5.0, category="request"
+                )
+        assert sampled.records == plain.records
+        requests = sampled.sampling_metadata()["requests"]
+        assert requests["total"] == requests["kept"] == 1
+        assert requests["slo_miss_kept"] == 0
+
+
+def _request_recount(tracer: SamplingTracer) -> int:
+    """Brute-force count of the retained request-lifecycle records."""
+    return sum(len(group) for group in tracer._kept_groups.values()) + sum(
+        len(group) for _, group in tracer._open.values()
+    )
+
+
+def _recount(tracer: SamplingTracer) -> int:
+    """Brute-force count of every retained record."""
+    return (
+        _request_recount(tracer)
+        + sum(len(reservoir.kept) for reservoir in tracer._tracks.values())
+        + len(tracer._exempt)
+    )
+
+
+#: One recording call: (kind, a choice index, a time step, a deadline).
+_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["begin", "child", "complete", "reject", "span", "counter", "exempt"]
+        ),
+        st.integers(0, 7),
+        st.floats(0.0, 2.0),
+        st.one_of(st.none(), st.floats(0.5, 4.0)),
+    ),
+    max_size=120,
+)
+
+
+class TestRunningCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        calls=_CALLS,
+        max_records=st.integers(1, 12),
+        track_budget=st.integers(2, 6),
+        head_every=st.integers(0, 3),
+    )
+    def test_counts_match_a_brute_force_recount(
+        self, calls, max_records, track_budget, head_every
+    ):
+        tracer = SamplingTracer(
+            SamplingConfig(
+                max_records=max_records, head_every=head_every,
+                track_budget=track_budget,
+            )
+        )
+        peaks = {"peak_retained": 0, "peak_request_records": 0}
+
+        def call(method, *args, **kwargs):
+            """Make one recording call, then check every count against a recount."""
+            getattr(tracer, method)(*args, **kwargs)
+            retained = _recount(tracer)
+            peaks["peak_retained"] = max(peaks["peak_retained"], retained)
+            peaks["peak_request_records"] = max(
+                peaks["peak_request_records"], _request_recount(tracer)
+            )
+            records = tracer.sampling_metadata()["records"]
+            assert len(tracer) == retained
+            assert records["kept"] == retained
+            assert len(tracer.records) == retained
+            assert records["peak_retained"] == peaks["peak_retained"]
+            assert records["peak_request_records"] == peaks["peak_request_records"]
+
+        now, next_id, open_ids = 0.0, 0, []
+        for kind, choice, step, deadline in calls:
+            now += step
+            if kind == "begin":
+                args = {"deadline_ms": deadline} if deadline is not None else {}
+                call(
+                    "async_begin", f"request {next_id}", "serving/requests", next_id,
+                    now, category="request", args=args,
+                )
+                open_ids.append(next_id)
+                next_id += 1
+            elif kind in ("child", "complete", "reject") and open_ids:
+                correlation = open_ids[choice % len(open_ids)]
+                if kind == "child":
+                    for method in ("async_begin", "async_end"):
+                        call(
+                            method, "queued", "serving/requests", correlation, now,
+                            category="request",
+                        )
+                else:
+                    open_ids.remove(correlation)
+                    outcome = "rejected" if kind == "reject" else "completed"
+                    call(
+                        "async_end", f"request {correlation}", "serving/requests",
+                        correlation, now, category="request",
+                        args={"outcome": outcome},
+                    )
+            elif kind == "span":
+                call(
+                    "add_span", "kernel", f"worker {choice % 3}/stream 0", now,
+                    now + step, category="kernel",
+                )
+            elif kind == "counter":
+                call("counter", "queue depth", "serving/loop", now, {"requests": choice})
+            elif kind == "exempt":
+                call("instant", "alert", "serving/alerts", now, category="alert")
+
+    def test_decimated_track_records_are_never_built(self, monkeypatch):
+        built, admitted = [0], [0]
+
+        class CountingRecord(trace.TraceRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built[0] += 1
+
+        admits = sampling._TrackReservoir.admits
+
+        def counting_admits(reservoir):
+            verdict = admits(reservoir)
+            admitted[0] += verdict
+            return verdict
+
+        monkeypatch.setattr(trace, "TraceRecord", CountingRecord)
+        monkeypatch.setattr(sampling._TrackReservoir, "admits", counting_admits)
+        tracer = SamplingTracer(SamplingConfig(track_budget=64))
+        for index in range(10_000):
+            tracer.add_span(
+                "kernel", "worker 0/stream 0", float(index), index + 0.5,
+                category="kernel",
+            )
+        assert built[0] == admitted[0]
+        assert built[0] < 1_000
+        assert len(tracer) < 64

@@ -13,7 +13,9 @@ The acceptance bar of the live layer:
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 
 from repro.models import chain_graph
 from repro.obs import (
@@ -174,3 +176,49 @@ class TestSamplingEndToEnd:
         document = chrome_trace(tracer)
         assert validate_chrome_trace(document) == []
         assert document["otherData"]["sampling"]["requests"]["total"] == 80
+
+
+class TestSampledTraceGolden:
+    """A seeded sampled overload run is pinned record for record.
+
+    The sampler's bookkeeping may be restructured for speed, but what it
+    keeps, drops and reports must not move: the digests below cover the
+    retained virtual-clock records (the wall-clock ``compile/*`` track is
+    excluded) and the full sampling metadata.
+    """
+
+    RECORDS_DIGEST = (
+        "ebeaa0d8c37d7fcc6d8a0bfd6588c0f90456051bce9f7df15e12f418f11fbe9d"
+    )
+    METADATA_DIGEST = (
+        "6c7a9114b5027c83dcfbcca3f00eb8e1155172d53306d43ef627296020797b0d"
+    )
+
+    def test_sampled_overload_trace_matches_the_golden_digests(self):
+        tracer = SamplingTracer(SamplingConfig(max_records=2000))
+        service = InferenceService(
+            ServingConfig(
+                model="squeezenet", fleet="k80:1,v100:1", batch_sizes=(1, 2, 4, 8),
+                policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
+                admission="deadline",
+            ),
+            tracer=tracer, alerts=default_alert_rules(slo_ms=20.0),
+        )
+        service.run(
+            TrafficGenerator(
+                TrafficConfig(
+                    model="squeezenet", pattern="poisson", num_requests=2000,
+                    rate_rps=3300.0, slo_ms=20.0, seed=11,
+                )
+            ).generate()
+        )
+        records = [
+            record for record in tracer.records
+            if not record.track.startswith("compile/")
+        ]
+        metadata = json.dumps(tracer.sampling_metadata(), sort_keys=True)
+        assert tracer.sampling_metadata()["requests"]["dropped"] > 0
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            self.RECORDS_DIGEST
+        )
+        assert hashlib.sha256(metadata.encode()).hexdigest() == self.METADATA_DIGEST
