@@ -11,6 +11,7 @@ engine :class:`~repro.engine.engine.StageTiming`, serving
   served it.  Disabled tracing is a falsy no-op (:data:`NULL_TRACER`).
 * :mod:`repro.obs.metrics` — typed counters/gauges/histograms with
   deterministic snapshots; the single home of a serving run's tallies.
+  Hot loops write through bound :class:`Series` handles.
 * :mod:`repro.obs.timeseries` — windowed live metrics: a drop-in
   :class:`TimeSeriesRegistry` bucketing observations into fixed virtual-time
   windows (bounded ring, streaming quantile sketches) behind the same
@@ -51,6 +52,8 @@ from .metrics import (
     Histogram,
     Metric,
     MetricsRegistry,
+    Series,
+    SeriesByValue,
     quantiles_reference,
 )
 from .sampling import SamplingConfig, SamplingTracer, parse_sampling_spec
@@ -85,6 +88,8 @@ __all__ = [
     "QueueSaturationRule",
     "SamplingConfig",
     "SamplingTracer",
+    "Series",
+    "SeriesByValue",
     "StreamingQuantile",
     "ThresholdRule",
     "TimeSeriesRegistry",

@@ -17,11 +17,17 @@ Each metric is a *family*: series within a family are keyed by labels
 whole breakdown.  :meth:`MetricsRegistry.snapshot` exports everything as one
 nested dict with sorted keys, and :meth:`MetricsRegistry.to_json` renders it
 byte-deterministically — the same run always dumps the same document.
+
+Hot loops bind their series once: :meth:`MetricsRegistry.series` returns a
+:class:`Series` handle whose label key is computed at bind time, so each
+write skips the family lookup and the label sort; :class:`SeriesByValue`
+does the same for a label whose value varies (one handle per value).
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +40,8 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricsRegistry",
+    "Series",
+    "SeriesByValue",
     "quantiles_reference",
 ]
 
@@ -53,6 +61,10 @@ QUANTILE_DECIMALS = 6
 def _label_key(labels: Mapping[str, object]) -> _LabelKey:
     """Canonical hashable form of a label set (sorted, values stringified)."""
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
+
+
+def _negative_increment(name: str, value: float) -> ValueError:
+    return ValueError(f"counter {name!r} can only increase; got inc({value})")
 
 
 class Metric:
@@ -100,9 +112,7 @@ class Counter(Metric):
     def inc(self, value: float = 1.0, **labels) -> None:
         """Add ``value`` (>= 0) to the series selected by ``labels``."""
         if value < 0:
-            raise ValueError(
-                f"counter {self.name!r} can only increase; got inc({value})"
-            )
+            raise _negative_increment(self.name, value)
         self._inc(_label_key(labels), value)
 
     def _inc(self, key: _LabelKey, value: float) -> None:
@@ -221,6 +231,94 @@ class Histogram(Metric):
         return summary
 
 
+class Series:
+    """One labelled series of a registry family, bound ahead of its writes.
+
+    :meth:`MetricsRegistry.series` computes the label key once; each write
+    then goes straight to the family's keyed ``_inc``/``_set``/``_observe``
+    hook, so windowed families bucket it exactly as a labelled call would.
+    The family is looked up on the *first write*, not at bind time: a bound
+    series that never writes never registers its family, and snapshots,
+    ``names()`` and alert rules see what labelled calls would have left.
+
+    A resolved series keeps its family object, so rebind after
+    :meth:`MetricsRegistry.clear` (the serving loop binds per run).
+    """
+
+    __slots__ = ("_registry", "_kind", "name", "description", "key", "_family")
+
+    def __init__(self, registry: "MetricsRegistry", kind: str, name: str,
+                 description: str, key: _LabelKey):
+        self._registry = registry
+        self._kind = kind
+        self.name = name
+        self.description = description
+        self.key = key
+        self._family = None
+
+    def family(self) -> Metric:
+        """The bound family, registered now if no write has registered it yet."""
+        family = self._family
+        if family is None:
+            factory = getattr(self._registry, self._kind)
+            family = self._family = factory(self.name, self.description)
+        return family
+
+
+class CounterSeries(Series):
+    """A bound :class:`Counter` series."""
+
+    __slots__ = ()
+
+    def inc(self, value: float = 1.0) -> None:
+        """Add ``value`` (>= 0), as ``Counter.inc(value, **labels)`` does."""
+        if value < 0:
+            raise _negative_increment(self.name, value)
+        (self._family or self.family())._inc(self.key, value)
+
+
+class GaugeSeries(Series):
+    """A bound :class:`Gauge` series."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        """Overwrite the value, as ``Gauge.set(value, **labels)`` does."""
+        (self._family or self.family())._set(self.key, float(value))
+
+
+class HistogramSeries(Series):
+    """A bound :class:`Histogram` series."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        """Record one observation, as ``Histogram.observe(value, **labels)`` does."""
+        (self._family or self.family())._observe(self.key, float(value))
+
+
+_SERIES = {"counter": CounterSeries, "gauge": GaugeSeries, "histogram": HistogramSeries}
+
+
+class SeriesByValue(dict):
+    """Bound series of one family, one per value of a varying label.
+
+    ``by_device[device].observe(x)`` binds the series of ``device`` on its
+    first lookup and is one dict hit afterwards — a per-value key cache for
+    labels such as a device, a batch size or a close reason.
+    """
+
+    def __init__(self, registry: "MetricsRegistry", kind: str, name: str,
+                 description: str = "", *, label: str):
+        super().__init__()
+        self._bind = partial(registry.series, kind, name, description)
+        self._label = label
+
+    def __missing__(self, value) -> Series:
+        series = self[value] = self._bind(**{self._label: value})
+        return series
+
+
 class MetricsRegistry:
     """One namespace of metric families, the single home of a run's tallies.
 
@@ -258,6 +356,18 @@ class MetricsRegistry:
     def histogram(self, name: str, description: str = "") -> Histogram:
         """The histogram family ``name`` (created on first use)."""
         return self._get_or_create(Histogram, name, description)  # type: ignore[return-value]
+
+    def series(self, kind: str, name: str, description: str = "", **labels) -> Series:
+        """Bind the ``labels`` series of the ``kind`` family ``name``.
+
+        ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``; the handle
+        has that family's verb (``inc``/``set``/``observe``).  Binding does
+        not create the family — its first write does (see :class:`Series`).
+        """
+        cls = _SERIES.get(kind)
+        if cls is None:
+            raise ValueError(f"unknown metric kind {kind!r}; expected one of {sorted(_SERIES)}")
+        return cls(self, kind, name, description, _label_key(labels))
 
     # --------------------------------------------------------------- queries
     def get(self, name: str) -> Metric | None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs.alerts import AlertEvent, AlertManager, AlertRule
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, SeriesByValue
 from ..obs.timeseries import TimeSeriesRegistry, WatchRenderer, WindowSpan
 from ..obs.trace import NULL_TRACER, Tracer
 from ..runtime.events import add_execution_spans
@@ -404,10 +404,69 @@ class ServingLoop:
         self._inflight = 0
         self._heap = []
         self.metrics.clear()
+        self._bind_series()
         self._result = LoopResult(metrics=self.metrics)
         self.metrics.gauge(
             "serve.pool.size", "active workers in the pool"
         ).set(len(self.pool.workers))
+
+    def _bind_series(self) -> None:
+        """Bind the series every event writes, once per run, after the clear.
+
+        A bound series resolves its family on its first write, so the
+        registry holds exactly the families labelled calls would have made.
+        """
+        metrics = self.metrics
+        missed = "requests that missed their SLO, by outcome"
+        self._offered = metrics.series(
+            "counter", "serve.requests.offered", "requests submitted to the service"
+        )
+        self._admitted = metrics.series(
+            "counter", "serve.admission.admitted", "arrivals allowed to queue"
+        )
+        self._rejected = SeriesByValue(
+            metrics,
+            "counter",
+            "serve.admission.rejected",
+            "arrivals shed, by policy reason",
+            label="reason",
+        )
+        self._slo_met = metrics.series("counter", "serve.slo.met", "requests that met their SLO")
+        self._slo_shed = metrics.series("counter", "serve.slo.missed", missed, outcome="rejected")
+        self._slo_late = metrics.series("counter", "serve.slo.missed", missed, outcome="deadline")
+        self._queue_depth = metrics.series(
+            "gauge", "serve.queue.depth", "requests in the forming batch"
+        )
+        self._queue_samples = metrics.series(
+            "gauge", "serve.queue.samples", "samples in the forming batch"
+        )
+        self._batch_closes = SeriesByValue(
+            metrics,
+            "counter",
+            "serve.batch.closes",
+            "formed batches, by close reason",
+            label="reason",
+        )
+        self._occupancy = metrics.series(
+            "histogram", "serve.batch.occupancy", "samples per formed batch"
+        )
+        self._executions = SeriesByValue(
+            metrics,
+            "counter",
+            "serve.executions",
+            "device executions per specialised batch size",
+            label="batch_size",
+        )
+        self._latency = SeriesByValue(
+            metrics, "histogram", "serve.latency_ms", "end-to-end request latency", label="device"
+        )
+        self._queue_delay = SeriesByValue(
+            metrics,
+            "histogram",
+            "serve.queue_delay_ms",
+            "arrival-to-dispatch request delay",
+            label="device",
+        )
 
     def _finalize(self) -> LoopResult:
         """Assemble the derived tallies of the result from the run's metrics.
@@ -484,9 +543,7 @@ class ServingLoop:
     def _on_arrival(self, request: InferenceRequest) -> None:
         self._arrivals_left -= 1
         tracer = self.tracer
-        self.metrics.counter(
-            "serve.requests.offered", "requests submitted to the service"
-        ).inc()
+        self._offered.inc()
         if tracer:
             tracer.async_begin(
                 f"request {request.request_id}", "serving/requests",
@@ -501,14 +558,10 @@ class ServingLoop:
         decision = self.admission.admit(request, self.state)
         if not decision.admitted:
             reason = decision.reason or "rejected"
-            self.metrics.counter(
-                "serve.admission.rejected", "arrivals shed, by policy reason"
-            ).inc(reason=reason)
+            self._rejected[reason].inc()
             # A shed request is a spent error budget too: the burn-rate
             # alert must see rejections, not just deadline overruns.
-            self.metrics.counter(
-                "serve.slo.missed", "requests that missed their SLO, by outcome"
-            ).inc(outcome="rejected")
+            self._slo_shed.inc()
             if tracer:
                 tracer.instant(
                     "reject", "serving/admission", self._now_ms,
@@ -528,9 +581,7 @@ class ServingLoop:
                 )
             )
             return
-        self.metrics.counter(
-            "serve.admission.admitted", "arrivals allowed to queue"
-        ).inc()
+        self._admitted.inc()
         policy = self.policy
         # A priority-preemptive policy expedites this arrival: the batch
         # closes *with the request inside* the moment it joins — whatever
@@ -558,15 +609,16 @@ class ServingLoop:
         self._inflight -= 1
         # SLO outcomes count at *completion* time, so the attainment series
         # lands in the window the client actually observed the result in.
-        met = self.metrics.counter("serve.slo.met", "requests that met their SLO")
-        missed = self.metrics.counter(
-            "serve.slo.missed", "requests that missed their SLO, by outcome"
-        )
+        # Both families exist from the first completion on, whatever its
+        # outcomes: alert rules read a missing family as "no data".
+        met, late = self._slo_met, self._slo_late
+        met.family()
+        late.family()
         for record in records or ():
             if record.deadline_met:
                 met.inc()
             else:
-                missed.inc(outcome="deadline")
+                late.inc()
         if self.autoscaler is not None:
             self._record_scale_events(self.autoscaler.evaluate(self.state))
         if self.completion_listener is not None:
@@ -618,12 +670,8 @@ class ServingLoop:
 
     def _sample_queue(self) -> None:
         """Sample the forming batch's depth into the gauge and the trace."""
-        self.metrics.gauge(
-            "serve.queue.depth", "requests in the forming batch"
-        ).set(len(self._pending))
-        self.metrics.gauge(
-            "serve.queue.samples", "samples in the forming batch"
-        ).set(self._pending_samples)
+        self._queue_depth.set(len(self._pending))
+        self._queue_samples.set(self._pending_samples)
         if self.tracer:
             self.tracer.counter(
                 "queue depth", "serving/loop", self._now_ms,
@@ -638,12 +686,8 @@ class ServingLoop:
         self._batch_id += 1
         self._observe_queue()
         self._sample_queue()
-        self.metrics.counter(
-            "serve.batch.closes", "formed batches, by close reason"
-        ).inc(reason=reason)
-        self.metrics.histogram(
-            "serve.batch.occupancy", "samples per formed batch"
-        ).observe(batch.num_samples)
+        self._batch_closes[reason].inc()
+        self._occupancy.observe(batch.num_samples)
         if self.tracer:
             self.tracer.instant(
                 "batch-close", "serving/loop", formed_ms, category="batch",
@@ -709,15 +753,9 @@ class ServingLoop:
             num_samples=num_samples,
             plan=compiled.plan,
         )
-        self.metrics.counter(
-            "serve.executions", "device executions per specialised batch size"
-        ).inc(batch_size=rung)
-        latency = self.metrics.histogram(
-            "serve.latency_ms", "end-to-end request latency"
-        )
-        queue_delay = self.metrics.histogram(
-            "serve.queue_delay_ms", "arrival-to-dispatch request delay"
-        )
+        self._executions[rung].inc()
+        latency = self._latency[dispatch.device]
+        queue_delay = self._queue_delay[dispatch.device]
         chunk_records: list[RequestRecord] = []
         for request in chunk:
             record = RequestRecord(
@@ -731,8 +769,8 @@ class ServingLoop:
             )
             self._result.records.append(record)
             chunk_records.append(record)
-            latency.observe(record.latency_ms, device=dispatch.device)
-            queue_delay.observe(record.queue_delay_ms, device=dispatch.device)
+            latency.observe(record.latency_ms)
+            queue_delay.observe(record.queue_delay_ms)
         self._inflight += 1
         self._push(dispatch.end_ms, _COMPLETION, chunk_records)
         if self.tracer:

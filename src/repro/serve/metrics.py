@@ -21,6 +21,7 @@ p50/p95/p99 per priority class (and per traffic burst when requests carry
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -309,69 +310,67 @@ def build_slo_summary(
     records: Sequence[RequestRecord],
     rejected: Sequence[RejectedRequest] = (),
 ) -> SloSummary:
-    """Fold completed records and rejections into an :class:`SloSummary`."""
+    """Fold completed records and rejections into an :class:`SloSummary`.
+
+    One pass over each input tallies every priority class and burst at once,
+    so the cost is linear in the requests however many bursts there are.
+    Each class's latencies are listed in record order.
+    """
     offered = len(records) + len(rejected)
-    met = sum(1 for record in records if record.deadline_met)
-    violations = len(records) - met
-    with_deadline = sum(
-        1 for record in records if record.request.deadline_ms is not None
-    )
+    met = with_deadline = 0
+    # priority -> [latencies, met, rejected]; burst -> [admitted, met, rejected]
+    classes: defaultdict[int, list] = defaultdict(lambda: [[], 0, 0])
+    bursts: defaultdict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
+    for record in records:
+        request = record.request
+        hit = record.deadline_met
+        met += hit
+        if request.deadline_ms is not None:
+            with_deadline += 1
+        tally = classes[request.priority]
+        tally[0].append(record.latency_ms)
+        tally[1] += hit
+        burst_id = request.burst_id
+        if burst_id is not None:
+            counts = bursts[burst_id]
+            counts[0] += 1
+            counts[1] += hit
     reasons: dict[str, int] = {}
     for rejection in rejected:
+        request = rejection.request
         reasons[rejection.reason] = reasons.get(rejection.reason, 0) + 1
+        classes[request.priority][2] += 1
+        burst_id = request.burst_id
+        if burst_id is not None:
+            bursts[burst_id][2] += 1
 
     per_priority: list[PriorityClassSlo] = []
-    priorities = sorted(
-        {record.request.priority for record in records}
-        | {rejection.request.priority for rejection in rejected},
-        reverse=True,
-    )
-    for priority in priorities:
-        class_records = [r for r in records if r.request.priority == priority]
-        class_rejected = [
-            r for r in rejected if r.request.priority == priority
-        ]
-        class_met = sum(1 for record in class_records if record.deadline_met)
-        class_offered = len(class_records) + len(class_rejected)
-        latencies = [record.latency_ms for record in class_records]
+    for priority in sorted(classes, reverse=True):
+        latencies, class_met, class_rejected = classes[priority]
+        class_offered = len(latencies) + class_rejected
         per_priority.append(
             PriorityClassSlo(
                 priority=priority,
                 offered=class_offered,
-                admitted=len(class_records),
-                rejected=len(class_rejected),
+                admitted=len(latencies),
+                rejected=class_rejected,
                 met=class_met,
-                violations=len(class_records) - class_met,
+                violations=len(latencies) - class_met,
                 attainment=class_met / class_offered if class_offered else 0.0,
                 p50_ms=percentile(latencies, 50) if latencies else 0.0,
                 p95_ms=percentile(latencies, 95) if latencies else 0.0,
                 p99_ms=percentile(latencies, 99) if latencies else 0.0,
             )
         )
-
     per_burst: list[BurstSlo] = []
-    burst_ids = sorted(
-        {
-            record.request.burst_id
-            for record in records
-            if record.request.burst_id is not None
-        }
-        | {
-            rejection.request.burst_id
-            for rejection in rejected
-            if rejection.request.burst_id is not None
-        }
-    )
-    for burst_id in burst_ids:
-        burst_records = [r for r in records if r.request.burst_id == burst_id]
-        burst_rejected = [r for r in rejected if r.request.burst_id == burst_id]
-        burst_met = sum(1 for record in burst_records if record.deadline_met)
-        burst_offered = len(burst_records) + len(burst_rejected)
+    for burst_id in sorted(bursts):
+        admitted, burst_met, burst_rejected = bursts[burst_id]
+        burst_offered = admitted + burst_rejected
         per_burst.append(
             BurstSlo(
                 burst_id=burst_id,
                 offered=burst_offered,
-                admitted=len(burst_records),
+                admitted=admitted,
                 met=burst_met,
                 attainment=burst_met / burst_offered if burst_offered else 0.0,
             )
@@ -383,7 +382,7 @@ def build_slo_summary(
         rejected=len(rejected),
         with_deadline=with_deadline,
         met=met,
-        violations=violations,
+        violations=len(records) - met,
         attainment_rate=met / offered if offered else 0.0,
         rejection_reasons=reasons,
         per_priority=per_priority,
@@ -454,16 +453,9 @@ def build_report(
     )
     makespan_ms = max(last_completion - first_arrival, 1e-9)
     num_samples = sum(record.request.num_samples for record in records)
-    device_summary: list[dict[str, object]] = []
-    for group in group_summary or []:
-        row = dict(group)
-        group_latencies = [
-            record.latency_ms for record in records if record.device == row["device"]
-        ]
-        row["requests"] = len(group_latencies)
-        if group_latencies:
-            row["latency"] = LatencySummary.from_values(group_latencies)
-        device_summary.append(row)
+    # A helper, so its latency lists are freed before the SLO summary builds
+    # its own: the report never holds both at once.
+    latency, device_summary = _latency_rows(records, group_summary or [])
     # The default admit-all policy on deadline-free traffic is not an SLO
     # signal: plain runs keep slo_summary is None, preserving the "None for
     # runs without SLOs" contract downstream code branches on.
@@ -481,10 +473,7 @@ def build_report(
         makespan_ms=makespan_ms,
         throughput_rps=len(records) / (makespan_ms / 1e3),
         throughput_samples_per_s=num_samples / (makespan_ms / 1e3),
-        latency=(
-            LatencySummary.from_values([record.latency_ms for record in records])
-            if records else LatencySummary.empty()
-        ),
+        latency=latency,
         queue_delay=(
             LatencySummary.from_values([record.queue_delay_ms for record in records])
             if records else LatencySummary.empty()
@@ -504,3 +493,29 @@ def build_report(
         alerts=list(alerts or []),
         metrics=metrics,
     )
+
+
+def _latency_rows(
+    records: Sequence[RequestRecord], group_summary: list[dict[str, object]]
+) -> tuple[LatencySummary, list[dict[str, object]]]:
+    """The run's latency summary and its per-device-group rows, in one scan.
+
+    Each group row is enriched with the request count and latency summary
+    of the records its device executed, in record order.
+    """
+    latencies: list[float] = []
+    by_device: defaultdict[str, list[float]] = defaultdict(list)
+    for record in records:
+        latency = record.latency_ms
+        latencies.append(latency)
+        by_device[record.device].append(latency)
+    rows: list[dict[str, object]] = []
+    for group in group_summary:
+        row = dict(group)
+        group_latencies = by_device.get(row["device"], [])
+        row["requests"] = len(group_latencies)
+        if group_latencies:
+            row["latency"] = LatencySummary.from_values(group_latencies)
+        rows.append(row)
+    summary = LatencySummary.from_values(latencies) if records else LatencySummary.empty()
+    return summary, rows

@@ -13,6 +13,7 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    SeriesByValue,
     quantiles_reference,
 )
 
@@ -172,6 +173,102 @@ class TestMetricsRegistry:
         registry.counter("requests")
         assert registry.counter("requests", "total offered").description == "total offered"
         assert registry.counter("requests", "other").description == "total offered"
+
+
+def labelled_writes(registry: MetricsRegistry) -> None:
+    """A mixed workload through the labelled family calls."""
+    registry.counter("hits", "cache hits").inc()
+    registry.counter("hits", "cache hits").inc(2.0, tier="l2")
+    registry.gauge("depth", "queue depth").set(3)
+    registry.gauge("depth", "queue depth").set(1, queue="b")
+    for value in (4.0, 1.0, 9.0):
+        registry.histogram("latency_ms", "latency").observe(value, device="k80")
+    registry.histogram("latency_ms", "latency").observe(2, device="v100")
+
+
+def bound_writes(registry: MetricsRegistry) -> None:
+    """The same workload through bound series handles."""
+    registry.series("counter", "hits", "cache hits").inc()
+    registry.series("counter", "hits", "cache hits", tier="l2").inc(2.0)
+    depth = registry.series("gauge", "depth", "queue depth")
+    depth.set(3)
+    registry.series("gauge", "depth", "queue depth", queue="b").set(1)
+    latency = SeriesByValue(registry, "histogram", "latency_ms", "latency", label="device")
+    for value in (4.0, 1.0, 9.0):
+        latency["k80"].observe(value)
+    latency["v100"].observe(2)
+
+
+class TestBoundSeries:
+    def test_handle_writes_equal_labelled_calls(self):
+        labelled, bound = MetricsRegistry(), MetricsRegistry()
+        labelled_writes(labelled)
+        bound_writes(bound)
+        assert bound.to_json() == labelled.to_json()
+
+    def test_negative_increment_raises_the_same_error(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError) as labelled:
+            registry.counter("hits").inc(-1.0, tier="l1")
+        with pytest.raises(ValueError) as bound:
+            registry.series("counter", "hits", tier="l1").inc(-1.0)
+        assert str(bound.value) == str(labelled.value)
+        assert registry.counter("hits").total() == 0.0
+
+    def test_binding_never_registers_a_family(self):
+        registry = MetricsRegistry()
+        handles = [
+            registry.series("counter", "c", "a counter", label="x"),
+            registry.series("gauge", "g"),
+            registry.series("histogram", "h"),
+        ]
+        by_value = SeriesByValue(registry, "counter", "v", label="reason")
+        assert by_value["shed"].key == (("reason", "shed"),)
+        assert len(registry) == 0
+        assert registry.names() == []
+        assert registry.get("c") is None
+        assert registry.snapshot() == {}
+        handles[0].inc()
+        assert registry.names() == ["c"]
+        assert registry.get("c").description == "a counter"
+
+    def test_family_registers_without_a_write(self):
+        registry = MetricsRegistry()
+        family = registry.series("counter", "missed", outcome="late").family()
+        assert registry.get("missed") is family
+        assert family.labelsets() == []
+
+    def test_first_write_backfills_the_description(self):
+        registry = MetricsRegistry()
+        registry.counter("hits")
+        registry.series("counter", "hits", "cache hits").inc()
+        assert registry.counter("hits").description == "cache hits"
+
+    def test_handles_write_into_the_registry_family(self):
+        registry = MetricsRegistry()
+        series = registry.series("gauge", "depth", queue="a")
+        series.set(5)
+        assert registry.gauge("depth").value(queue="a") == 5.0
+        assert series.family() is registry.gauge("depth")
+
+    def test_kind_clash_raises_on_first_write(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.executions")
+        series = registry.series("gauge", "serve.executions")
+        with pytest.raises(TypeError, match="is a counter, not a gauge"):
+            series.set(1.0)
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            MetricsRegistry().series("summary", "x")
+
+    def test_series_by_value_caches_one_handle_per_value(self):
+        registry = MetricsRegistry()
+        closes = SeriesByValue(registry, "counter", "closes", label="reason")
+        assert closes["full"] is closes["full"]
+        closes["full"].inc()
+        closes[8].inc()
+        assert registry.counter("closes").by_label("reason") == {"8": 1.0, "full": 1.0}
 
 
 class TestSnapshotByteStability:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
+    SeriesByValue,
     StreamingQuantile,
     TimeSeriesRegistry,
     WatchRenderer,
@@ -218,6 +219,60 @@ class TestWindowBucketing:
         assert first["hits"]["type"] == "counter"
         windows = first["hits"]["series"][0]["windows"]
         assert [w["index"] for w in windows] == [0, 1]
+
+
+def windowed_run(bound: bool) -> TimeSeriesRegistry:
+    """Writes across three windows, labelled or through bound handles."""
+    registry = TimeSeriesRegistry(window_ms=10.0)
+    if bound:
+        offered = registry.series("counter", "offered", "arrivals")
+        depth = registry.series("gauge", "depth", "queue depth")
+        closes = SeriesByValue(registry, "counter", "closes", "closes", label="reason")
+        latency = SeriesByValue(registry, "histogram", "latency", "latency", label="device")
+    for step in range(12):
+        registry.advance(step * 2.5)
+        reason = "full" if step % 3 else "timeout"
+        device = "k80" if step % 2 else "v100"
+        if bound:
+            offered.inc()
+            depth.set(step % 5)
+            closes[reason].inc()
+            latency[device].observe(1.0 + step)
+        else:
+            registry.counter("offered", "arrivals").inc()
+            registry.gauge("depth", "queue depth").set(step % 5)
+            registry.counter("closes", "closes").inc(reason=reason)
+            registry.histogram("latency", "latency").observe(1.0 + step, device=device)
+    registry.flush()
+    return registry
+
+
+class TestBoundWindowedSeries:
+    def test_handle_writes_equal_labelled_calls_window_by_window(self):
+        labelled, bound = windowed_run(bound=False), windowed_run(bound=True)
+        assert bound.to_json() == labelled.to_json()
+        assert bound.window_snapshot() == labelled.window_snapshot()
+        assert bound.counter("offered").window_total(1) == 4.0
+        assert bound.histogram("latency").window_quantile(2, 50) is not None
+
+    def test_bound_families_are_windowed(self):
+        registry = TimeSeriesRegistry(window_ms=10.0)
+        registry.series("gauge", "depth").set(2.0)
+        assert isinstance(registry.get("depth"), WindowedGauge)
+        assert registry.gauge("depth").window_last(0) == 2.0
+
+    def test_negative_increment_raises_before_any_window_write(self):
+        registry = TimeSeriesRegistry(window_ms=10.0)
+        series = registry.series("counter", "hits")
+        with pytest.raises(ValueError, match="only increase"):
+            series.inc(-2.0)
+        assert registry.window_snapshot() == {}
+
+    def test_binding_never_registers_a_windowed_family(self):
+        registry = TimeSeriesRegistry(window_ms=10.0)
+        registry.series("counter", "serve.slo.missed", outcome="rejected")
+        assert "serve.slo.missed" not in registry
+        assert registry.window_snapshot() == {}
 
 
 class TestWatchRenderer:

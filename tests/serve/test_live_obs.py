@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 
+from repro.hardware import get_devices
 from repro.models import chain_graph
 from repro.obs import (
     SamplingConfig,
@@ -35,6 +36,7 @@ from repro.serve import (
     ServingConfig,
     TrafficConfig,
     TrafficGenerator,
+    WorkerPool,
 )
 
 SLO_MS = 1.5
@@ -176,6 +178,41 @@ class TestSamplingEndToEnd:
         document = chrome_trace(tracer)
         assert validate_chrome_trace(document) == []
         assert document["otherData"]["sampling"]["requests"]["total"] == 80
+
+
+class TestLoopReuse:
+    def test_reused_loop_dumps_the_same_metrics_for_the_same_run(self):
+        # The loop binds its metric series per run, after clearing the
+        # registry: a handle kept from the first run would write into a
+        # family the clear dropped, and the second dump would lose it.
+        slo_ms = 2.5  # sheds part of each burst and still fires alerts
+        requests = TrafficGenerator(
+            TrafficConfig(
+                model="toy", pattern="bursty", num_requests=80, rate_rps=4000.0,
+                burst_size=32, burst_gap_ms=2.0, sample_sizes=(1, 2),
+                sample_weights=(0.6, 0.4), slo_ms=slo_ms, seed=3,
+            )
+        ).generate()
+        service = overload_service(
+            admission="deadline", alerts=default_alert_rules(slo_ms=slo_ms),
+            window_ms=WINDOW_MS,
+        )
+        service.warmup()
+        loop = service.loop
+        dumps = []
+        for _ in range(2):
+            # Fresh worker horizons: only the loop and its metrics registry
+            # carry over from the first run.
+            loop.pool = WorkerPool(get_devices(("k80",)))
+            loop.metrics.clear()
+            result = loop.run(requests)
+            assert result.records and result.rejected and result.alerts
+            dump = json.loads(loop.metrics.to_json())
+            # The schedule registry's counters are cumulative across runs.
+            del dump["serve.registry.lookups"]
+            dumps.append(dump)
+        assert dumps[0] == dumps[1]
+        assert "serve.admission.rejected" in dumps[1]
 
 
 class TestSampledTraceGolden:
