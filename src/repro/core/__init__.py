@@ -31,27 +31,25 @@ from .schedule import (
     connected_groups,
 )
 from .endings import BlockIndex, PruningStrategy, enumerate_endings, groups_of_mask, is_ending
-from .merge import MergedStage, MergeError, build_merged_operator, can_merge, why_not_mergeable
+from .merge import MergeError, build_merged_operator, can_merge, why_not_mergeable
 from .width import block_width, dag_width, maximum_antichain_size
-from .cost_model import CostModel, FlopsCostModel, SimulatedCostModel, StageChoice, stage_to_execution
+from .cost_model import CostModel, FlopsCostModel, SimulatedCostModel
 from .dp_scheduler import (
     BlockStats,
     IOSScheduler,
-    IOSVariant,
     ScheduleResult,
     SchedulerConfig,
     UnknownVariantError,
     VALID_VARIANTS,
     normalize_variant,
     resolve_compile_jobs,
-    shutdown_search_pools,
     variant_label,
 )
-from .memo import ScheduleMemo, clear_schedule_memo, memo_enabled, schedule_memo
+from .memo import clear_schedule_memo
 from .baselines import greedy_schedule, sequential_schedule
-from .lowering import lower_schedule, measure_schedule, schedule_latency_ms, schedule_throughput
+from .lowering import (lower_schedule, measure_schedule, schedule_latency_ms, schedule_throughput,
+                       stage_to_execution)
 from .complexity import (
-    BlockComplexity,
     block_complexity,
     count_schedules,
     count_transitions_and_states,
@@ -78,7 +76,6 @@ __all__ = [
     "groups_of_mask",
     "is_ending",
     "MergeError",
-    "MergedStage",
     "can_merge",
     "why_not_mergeable",
     "build_merged_operator",
@@ -88,21 +85,15 @@ __all__ = [
     "CostModel",
     "SimulatedCostModel",
     "FlopsCostModel",
-    "StageChoice",
     "stage_to_execution",
     "IOSScheduler",
-    "IOSVariant",
     "SchedulerConfig",
     "UnknownVariantError",
     "VALID_VARIANTS",
     "normalize_variant",
     "variant_label",
     "resolve_compile_jobs",
-    "shutdown_search_pools",
-    "ScheduleMemo",
-    "schedule_memo",
     "clear_schedule_memo",
-    "memo_enabled",
     "BlockStats",
     "ScheduleResult",
     "sequential_schedule",
@@ -111,7 +102,6 @@ __all__ = [
     "measure_schedule",
     "schedule_latency_ms",
     "schedule_throughput",
-    "BlockComplexity",
     "block_complexity",
     "count_schedules",
     "count_transitions_and_states",

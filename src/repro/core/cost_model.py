@@ -8,14 +8,22 @@ simulated device and :class:`~repro.runtime.profiler.Profiler`, and
 :class:`FlopsCostModel` is a cheap analytical stand-in used by tests and by
 the contention-model ablation.
 
+A search prices each block's endings with one :class:`StagePricer`, from the
+ending's bitmask and connected-group masks alone.  The simulated model's
+pricer holds every operator's kernel values and every group's simulator
+stream key, so operator names and
+:class:`~repro.runtime.executor.ExecutionStage` objects appear only when a
+schedule is lowered (:mod:`repro.core.lowering`).
+
 Stage measurements are memoised per cost model, keyed by graph name, batch
-size, graph fingerprint, the stage's operator set (order-insensitive) and its
-strategy.  A miss is a measurement: it is what ``num_measurements`` and the
-profiler's ``total_profiling_ms`` count, so this cache defines a compile's
-reported optimisation cost.  Within one search the DP already prices each
-candidate ending once, so hits come from searching the same graph again with
-the same model.  The cache is pure: a hit returns exactly the latency a new
-measurement would.
+size, graph fingerprint, the stage's operator set (order-insensitive: a mask
+over the graph's operator names) and its strategy.  A miss is a measurement:
+it is what ``num_measurements`` and the profiler's ``total_profiling_ms``
+count, so this cache defines a compile's reported optimisation cost.  Within
+one search the DP already prices each candidate ending once, so hits come
+from searching the same graph again with the same model, or from the
+name-based :meth:`CostModel.stage_latency`.  The cache is pure: a hit returns
+exactly the latency a new measurement would.
 """
 
 from __future__ import annotations
@@ -24,15 +32,20 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..hardware.contention import kernel_values
 from ..hardware.device import DeviceSpec
-from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
+from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, build_kernel
+from ..hardware.streams import key_stage_latency_ms
 from ..ir.graph import Graph
-from ..runtime.executor import ExecutionStage
 from ..runtime.profiler import Profiler
-from .merge import build_merged_operator, can_merge
-from .schedule import ParallelizationStrategy, connected_groups
+from .endings import BlockIndex, groups_of_mask
+from .merge import build_merged_operator, can_merge, merge_classes
+from .schedule import ParallelizationStrategy
 
-__all__ = ["StageChoice", "CostModel", "SimulatedCostModel", "FlopsCostModel"]
+__all__ = ["StageChoice", "CostModel", "StagePricer", "SimulatedCostModel", "FlopsCostModel"]
+
+CONCURRENT = ParallelizationStrategy.CONCURRENT
+MERGE = ParallelizationStrategy.MERGE
 
 
 @dataclass(frozen=True)
@@ -49,7 +62,10 @@ class CostModel(ABC):
     def __init__(self) -> None:
         #: Number of distinct stage latencies actually measured (cache misses).
         self.num_measurements = 0
-        self._cache: dict[tuple, float] = {}
+        #: Per graph version ``(name, batch size, fingerprint)``: the bit of
+        #: every operator name seen so far, and the measured latencies keyed
+        #: by ``(operator-set mask, strategy)``.
+        self._cache: dict[tuple, tuple[dict[str, int], dict[tuple, float]]] = {}
 
     # --------------------------------------------------------------- interface
     @abstractmethod
@@ -58,14 +74,12 @@ class CostModel(ABC):
         graph: Graph,
         op_names: tuple[str, ...],
         strategy: ParallelizationStrategy,
-        groups: Sequence[Sequence[str]] | None = None,
+        groups: Sequence[Sequence[str]],
     ) -> float:
         """Measure (simulate) the latency of one stage; no caching.
 
-        ``groups`` optionally carries the stage's connected-group
-        decomposition when the caller already knows it (the DP enumerates
-        endings *by* their groups); it must equal
-        :func:`~repro.core.schedule.connected_groups` output exactly.
+        ``groups`` is the stage's connected-group decomposition, exactly as
+        :func:`~repro.core.schedule.connected_groups` returns it.
         """
 
     def signature(self) -> tuple | None:
@@ -89,6 +103,18 @@ class CostModel(ABC):
         """
         return None
 
+    def stage_pricer(self, index: BlockIndex) -> "StagePricer":
+        """The pricer a search prices ``index``'s block with."""
+        return StagePricer(self, index)
+
+    def _one_stage(self, graph: Graph, op_names: Sequence[str],
+                   groups: Sequence[Sequence[str]] | None) -> tuple["StagePricer", int, list]:
+        """A pricer over ``op_names`` alone, with their mask and group masks."""
+        index = BlockIndex(graph, op_names)
+        full = index.full_mask
+        masks = groups_of_mask(index, full) if groups is None else list(map(index.mask_of, groups))
+        return self.stage_pricer(index), full, masks
+
     # ----------------------------------------------------------------- public
     def stage_latency(
         self,
@@ -98,18 +124,8 @@ class CostModel(ABC):
         groups: Sequence[Sequence[str]] | None = None,
     ) -> float:
         """Memoised latency of executing ``op_names`` as one stage."""
-        # The structural fingerprint keeps the cache honest across graph
-        # *versions*: an incremental recompile mutates a block while keeping
-        # the graph name and operator names, and must not see stale prices.
-        # The sorted name tuple makes the key order-insensitive at a fraction
-        # of a frozenset's memory.
-        key = (graph.name, graph.batch_size, graph.fingerprint(), tuple(sorted(op_names)), strategy)
-        if key in self._cache:
-            return self._cache[key]
-        latency = self._measure_stage(graph, tuple(op_names), strategy, groups)
-        self._cache[key] = latency
-        self.num_measurements += 1
-        return latency
+        pricer, mask, masks = self._one_stage(graph, op_names, groups)
+        return pricer.stage_latency(mask, masks, strategy)
 
     def generate_stage(self, graph: Graph, op_names: Sequence[str],
                        strategies: Sequence[ParallelizationStrategy] | None = None,
@@ -124,56 +140,119 @@ class CostModel(ABC):
         is used as the fallback, mirroring how IOS-Merge degenerates to the
         sequential schedule on RandWire/NasNet (Section 6.1).
         """
-        candidates = list(strategies) if strategies is not None else [
-            ParallelizationStrategy.CONCURRENT,
-            ParallelizationStrategy.MERGE,
-        ]
-        best: StageChoice | None = None
-        for strategy in candidates:
-            if strategy is ParallelizationStrategy.MERGE:
-                if len(op_names) >= 2 and can_merge(graph, op_names):
-                    latency = self.stage_latency(graph, op_names, strategy, groups)
-                else:
-                    continue
-            else:
-                latency = self.stage_latency(graph, op_names, strategy, groups)
-            if best is None or latency < best.latency_ms:
-                best = StageChoice(latency_ms=latency, strategy=strategy)
-        if best is None:
-            # Only MERGE was requested and the stage is not mergeable: fall
-            # back to executing the operators sequentially in one group.
-            latency = self.stage_latency(
-                graph, op_names, ParallelizationStrategy.CONCURRENT, groups
-            )
-            best = StageChoice(latency_ms=latency, strategy=ParallelizationStrategy.CONCURRENT)
-        return best
+        pricer, mask, masks = self._one_stage(graph, op_names, groups)
+        return pricer.generate_stage(
+            mask, masks, (CONCURRENT, MERGE) if strategies is None else strategies
+        )
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        return sum(len(prices) for _bits, prices in self._cache.values())
 
     def clear_cache(self) -> None:
         self._cache.clear()
 
 
-def stage_to_execution(graph: Graph, op_names: Sequence[str],
-                       strategy: ParallelizationStrategy, label: str = "",
-                       groups: Sequence[Sequence[str]] | None = None) -> ExecutionStage:
-    """Lower one (operators, strategy) stage into an executable stage.
+class StagePricer:
+    """GENERATE STAGE on the bitmasks of one block's :class:`BlockIndex`.
 
-    Shared by the cost models and by :mod:`repro.core.lowering` so that the
-    latency used during the search is exactly the latency of the executed
-    schedule.  ``groups``, when given, must equal
-    :func:`~repro.core.schedule.connected_groups` for ``op_names`` and lets
-    callers that already know the decomposition skip recomputing it.
+    ``groups`` are an ending's connected-group masks, in
+    :func:`~repro.core.schedule.connected_groups` order.  MERGE eligibility is
+    first a :func:`~repro.core.merge.merge_classes` mask test, so ``can_merge``
+    runs only on endings that pass it.  Prices live in the model's cache, so
+    every pricer over one graph version hits and misses on the same entries;
+    a miss goes to :meth:`CostModel._measure_stage`.
     """
-    if strategy is ParallelizationStrategy.MERGE and len(op_names) >= 2:
-        merged = build_merged_operator(graph, op_names)
-        operators = [[merged.merged]]
-        return ExecutionStage(groups=operators, strategy=strategy.value, label=label)
-    if groups is None:
-        groups = connected_groups(graph, op_names)
-    operator_groups = [[graph.nodes[name] for name in group] for group in groups]
-    return ExecutionStage(groups=operator_groups, strategy=strategy.value, label=label)
+
+    def __init__(self, model: CostModel, index: BlockIndex):
+        self.model = model
+        self.index = index
+        graph = index.graph
+        # The structural fingerprint keeps the cache honest across graph
+        # *versions*: an incremental recompile mutates a block while keeping
+        # the graph name and operator names, and must not see stale prices.
+        key = (graph.name, graph.batch_size, graph.fingerprint())
+        bits, self._prices = model._cache.setdefault(key, ({}, {}))
+        #: Per operator index, its bit in cache masks; new names take the next.
+        self._cache_bits = [1 << bits.setdefault(name, len(bits)) for name in index.names]
+        self._merge_class = merge_classes(graph, index.names)
+
+    def mergeable(self, mask: int) -> bool:
+        """Whether the operators of ``mask`` can execute as one merged operator."""
+        if not mask & (mask - 1) or mask & ~self._merge_class[(mask & -mask).bit_length() - 1]:
+            return False
+        return can_merge(self.index.graph, self.index.names_of(mask))
+
+    def stage_latency(self, mask: int, groups: Sequence[int],
+                      strategy: ParallelizationStrategy) -> float:
+        """Memoised latency of executing ``mask`` as one stage."""
+        cache_bits = self._cache_bits
+        cache_mask = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            cache_mask |= cache_bits[low.bit_length() - 1]
+            rest ^= low
+        key = (cache_mask, strategy)
+        latency = self._prices.get(key)
+        if latency is None:
+            latency = self._prices[key] = self._measure(mask, groups, strategy)
+            self.model.num_measurements += 1
+        return latency
+
+    def _measure(self, mask: int, groups: Sequence[int],
+                 strategy: ParallelizationStrategy) -> float:
+        names_of = self.index.names_of
+        return self.model._measure_stage(
+            self.index.graph, names_of(mask), strategy, [names_of(group) for group in groups]
+        )
+
+    def generate_stage(self, mask: int, groups: Sequence[int],
+                       strategies: Sequence[ParallelizationStrategy]) -> StageChoice:
+        """:meth:`CostModel.generate_stage` for the stage ``mask``."""
+        best: StageChoice | None = None
+        for strategy in strategies:
+            if strategy is MERGE and not self.mergeable(mask):
+                continue
+            latency = self.stage_latency(mask, groups, strategy)
+            if best is None or latency < best.latency_ms:
+                best = StageChoice(latency_ms=latency, strategy=strategy)
+        if best is None:
+            # Only MERGE was requested and the stage is not mergeable.
+            latency = self.stage_latency(mask, groups, CONCURRENT)
+            best = StageChoice(latency_ms=latency, strategy=CONCURRENT)
+        return best
+
+
+class _SimulatedPricer(StagePricer):
+    """Measures on simulator keys: per operator its kernel values (``None``
+    without a kernel), per group mask the stream built from them.
+    """
+
+    def __init__(self, model: "SimulatedCostModel", index: BlockIndex):
+        super().__init__(model, index)
+        kernels = [build_kernel(index.graph.nodes[name], model.device, model.profile)
+                   for name in index.names]
+        self._values = [None if kernel is None else kernel_values(kernel) for kernel in kernels]
+        self._streams: dict[int, tuple] = {}
+
+    def _stream(self, group: int) -> tuple:
+        stream = self._streams.get(group)
+        if stream is None:
+            values = self._values
+            stream = self._streams[group] = tuple(
+                values[i] for i in self.index.bits(group) if values[i] is not None
+            )
+        return stream
+
+    def _measure(self, mask: int, groups: Sequence[int],
+                 strategy: ParallelizationStrategy) -> float:
+        model: SimulatedCostModel = self.model  # type: ignore[assignment]
+        if strategy is MERGE and mask & (mask - 1):
+            merged = build_merged_operator(self.index.graph, self.index.names_of(mask)).merged
+            streams = ((kernel_values(build_kernel(merged, model.device, model.profile)),),)
+        else:
+            streams = tuple([stream for stream in map(self._stream, groups) if stream])
+        return model.profiler.measure_latency(key_stage_latency_ms(streams, model.device))
 
 
 class SimulatedCostModel(CostModel):
@@ -200,15 +279,18 @@ class SimulatedCostModel(CostModel):
             device, profile, warmup=warmup, repeats=repeats, noise_std=noise_std, seed=seed
         )
 
+    def stage_pricer(self, index: BlockIndex) -> StagePricer:
+        return _SimulatedPricer(self, index)
+
     def _measure_stage(
         self,
         graph: Graph,
         op_names: tuple[str, ...],
         strategy: ParallelizationStrategy,
-        groups: Sequence[Sequence[str]] | None = None,
+        groups: Sequence[Sequence[str]],
     ) -> float:
-        stage = stage_to_execution(graph, op_names, strategy, groups=groups)
-        return self.profiler.stage_latency_ms(stage)
+        pricer, mask, masks = self._one_stage(graph, op_names, groups)
+        return pricer._measure(mask, masks, strategy)
 
     def signature(self) -> tuple | None:
         """Shareable identity: device, profile, and measurement protocol.
@@ -274,13 +356,11 @@ class FlopsCostModel(CostModel):
         graph: Graph,
         op_names: tuple[str, ...],
         strategy: ParallelizationStrategy,
-        groups: Sequence[Sequence[str]] | None = None,
+        groups: Sequence[Sequence[str]],
     ) -> float:
         if strategy is ParallelizationStrategy.MERGE and len(op_names) >= 2:
             merged = build_merged_operator(graph, op_names)
             return self.overhead_ms + merged.merged.flops() / self.flops_per_ms
-        if groups is None:
-            groups = connected_groups(graph, op_names)
         group_latencies = []
         for group in groups:
             flops = sum(graph.nodes[name].flops() for name in group)

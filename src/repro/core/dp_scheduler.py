@@ -9,7 +9,8 @@ three functions of Algorithm 1:
   (entry point + schedule reconstruction from ``choice[·]``),
 * ``SCHEDULER`` — the memoised recursion over operator subsets
   (:meth:`IOSScheduler._scheduler`),
-* ``GENERATE STAGE`` — delegated to :meth:`CostModel.generate_stage`.
+* ``GENERATE STAGE`` — delegated to the block's
+  :class:`~repro.core.cost_model.StagePricer`.
 
 Operator subsets are represented as bitmasks over a per-block
 :class:`~repro.core.endings.BlockIndex`; endings are enumerated subject to the
@@ -38,7 +39,6 @@ from ..ir.graph import Block, Graph
 from .cost_model import CostModel, StageChoice
 from .endings import BlockIndex, PruningStrategy, ending_lattice, enumerate_endings
 from .memo import memo_enabled, schedule_memo
-from .merge import can_merge
 from .schedule import ParallelizationStrategy, Schedule, Stage
 from .width import maximum_antichain_size
 
@@ -348,9 +348,9 @@ class IOSScheduler:
         config = self.config
         pruning = config.pruning
         strategies = config.strategies
-        cost_model = self.cost_model
-        generate_stage = cost_model.generate_stage
-        names_of = index.names_of
+        pricer = self.cost_model.stage_pricer(index)
+        generate_stage = pricer.generate_stage
+        mergeable = pricer.mergeable
         merge_only = ParallelizationStrategy.CONCURRENT not in strategies
 
         lattice = ending_lattice(index, pruning)
@@ -382,8 +382,7 @@ class IOSScheduler:
                 ending = ending_masks[ending_id]
                 stage_choice = ending_choice[ending_id]
                 if stage_choice is False:
-                    op_subset = names_of(ending)
-                    if merge_only and len(op_subset) > 1 and not can_merge(graph, op_subset):
+                    if merge_only and ending & (ending - 1) and not mergeable(ending):
                         # The IOS-Merge variant only forms multi-operator
                         # stages by merging; unmergeable endings degenerate to
                         # single-operator stages, so skip them (Section 6.1:
@@ -391,13 +390,9 @@ class IOSScheduler:
                         # RandWire/NasNet).
                         ending_choice[ending_id] = None
                         continue
-                    # The enumeration already yields the ending's connected
-                    # groups (ordered and topo-sorted exactly like
-                    # ``connected_groups``), so pass them through and spare
-                    # the cost model a recomputation per measurement.
-                    groups = [names_of(mask) for mask in ending_groups[ending_id]]
-                    stage_choice = generate_stage(graph, op_subset, strategies, groups)
-                    ending_choice[ending_id] = stage_choice
+                    stage_choice = ending_choice[ending_id] = generate_stage(
+                        ending, ending_groups[ending_id], strategies
+                    )
                 elif stage_choice is None:
                     continue
                 transitions += 1

@@ -89,6 +89,9 @@ class BlockIndex:
     def __init__(self, graph: Graph, op_names: Sequence[str]):
         self.graph = graph
         self.names: list[str] = graph.topological_order(list(op_names))
+        if len(self.names) != len(set(op_names)):
+            missing = sorted(set(op_names) - set(self.names))
+            raise KeyError(f"operators not in graph {graph.name!r}: {missing}")
         self.index: dict[str, int] = {name: i for i, name in enumerate(self.names)}
         n = len(self.names)
         self.n = n

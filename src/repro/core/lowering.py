@@ -9,14 +9,32 @@ experiment: lower, execute on the simulated device, return the result.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
 from ..ir.graph import Graph
-from ..runtime.executor import ExecutionPlan, ExecutionResult, Executor
-from .cost_model import stage_to_execution
-from .schedule import Schedule
+from ..runtime.executor import ExecutionPlan, ExecutionResult, ExecutionStage, Executor
+from .merge import build_merged_operator
+from .schedule import ParallelizationStrategy, Schedule, connected_groups
 
-__all__ = ["lower_schedule", "measure_schedule", "schedule_latency_ms", "schedule_throughput"]
+__all__ = ["stage_to_execution", "lower_schedule", "measure_schedule", "schedule_latency_ms",
+           "schedule_throughput"]
+
+
+def stage_to_execution(graph: Graph, op_names: Sequence[str],
+                       strategy: ParallelizationStrategy, label: str = "") -> ExecutionStage:
+    """Lower one (operators, strategy) stage into an executable stage.
+
+    Its groups run on the streams the search priced them on, so the executed
+    schedule's latency is exactly the latency the search used.
+    """
+    if strategy is ParallelizationStrategy.MERGE and len(op_names) >= 2:
+        groups = [[build_merged_operator(graph, op_names).merged]]
+    else:
+        groups = [[graph.nodes[name] for name in group]
+                  for group in connected_groups(graph, op_names)]
+    return ExecutionStage(groups=groups, strategy=strategy.value, label=label)
 
 
 def lower_schedule(graph: Graph, schedule: Schedule) -> ExecutionPlan:

@@ -24,7 +24,8 @@ from typing import Sequence
 from ..ir.graph import Graph
 from ..ir.ops import Conv2d, Linear, Operator, Split
 
-__all__ = ["MergeError", "MergedStage", "can_merge", "why_not_mergeable", "build_merged_operator"]
+__all__ = ["MergeError", "MergedStage", "can_merge", "why_not_mergeable", "merge_classes",
+           "build_merged_operator"]
 
 
 class MergeError(ValueError):
@@ -97,6 +98,21 @@ def why_not_mergeable(graph: Graph, op_names: Sequence[str]) -> str | None:
 def can_merge(graph: Graph, op_names: Sequence[str]) -> bool:
     """Whether the named operators are eligible for the operator-merge strategy."""
     return why_not_mergeable(graph, op_names) is None
+
+
+def merge_classes(graph: Graph, op_names: Sequence[str]) -> list[int]:
+    """Per operator, the mask (over ``op_names``) of operators it could lead a merge of.
+
+    Those share its kind, merge key and inputs (:func:`why_not_mergeable`);
+    ``0`` for operators that cannot lead one.
+    """
+    ops = [graph.nodes[name] for name in op_names]
+    keys = [(op.kind, op.merge_key(), tuple(op.inputs)) for op in ops]
+    classes: dict[tuple, int] = {}
+    for position, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << position
+    return [classes[key] if isinstance(op, (Conv2d, Linear)) and key[1] is not None else 0
+            for op, key in zip(ops, keys)]
 
 
 def build_merged_operator(graph: Graph, op_names: Sequence[str]) -> MergedStage:

@@ -28,6 +28,7 @@ from typing import Any, Iterable, Sequence
 
 from ..ir.graph import Graph
 from ..ir.ops import Placeholder
+from .endings import BlockIndex, groups_of_mask
 
 __all__ = ["ParallelizationStrategy", "Stage", "Schedule", "ScheduleValidationError",
            "connected_groups"]
@@ -54,35 +55,11 @@ def connected_groups(graph: Graph, op_names: Sequence[str]) -> list[list[str]]:
     the weakly connected components of the subgraph induced by ``op_names``.
     Each group is returned in topological order (its execution order on the
     stream); groups are ordered by the position of their first operator so the
-    result is deterministic.
+    result is deterministic.  These are the group masks the DP's ending
+    enumeration yields, as names.
     """
-    names = list(op_names)
-    name_set = set(names)
-    parent: dict[str, str] = {name: name for name in names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for name in names:
-        for pred in graph.nodes[name].inputs:
-            if pred in name_set:
-                union(pred, name)
-
-    topo = graph.topological_order(names)
-    groups: dict[str, list[str]] = {}
-    for name in topo:
-        groups.setdefault(find(name), []).append(name)
-    # Roots enter the dict in order of their first member's topological
-    # position, which is exactly the deterministic order promised above.
-    return list(groups.values())
+    index = BlockIndex(graph, op_names)
+    return [list(index.names_of(group)) for group in groups_of_mask(index, index.full_mask)]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from ..core.schedule import ParallelizationStrategy, Stage
 from ..hardware.device import DeviceSpec
 from ..models import INCEPTION_BLOCK_NAMES
 from ..runtime.executor import ExecutionPlan, Executor
-from ..core.cost_model import stage_to_execution
+from ..core.lowering import stage_to_execution
 from .runner import ExperimentContext, default_context
 from .tables import ExperimentTable
 

@@ -413,6 +413,52 @@ def _parse_foreign_nodes(data: dict[str, Any]) -> list[ForeignNode]:
     return nodes
 
 
+def _parse_initializers(data: dict[str, Any]) -> dict[str, tuple[int, ...]]:
+    """Each initializer's shape; a bad one names the initializer and field."""
+    initializers = data.get("initializers", [])
+    if not isinstance(initializers, list):
+        raise FrontendError(f"field 'initializers' must be a list, got {initializers!r}")
+    shapes = {}
+    for position, init in enumerate(initializers):
+        if not isinstance(init, dict) or "name" not in init:
+            raise FrontendError(
+                f"initializer #{position} ({init!r}): field 'name' is required"
+            )
+        name = str(init["name"])
+        shape = init.get("shape")
+        try:
+            shapes[name] = tuple(int(d) for d in shape)
+        except (TypeError, ValueError) as exc:
+            raise FrontendError(
+                f"initializer {name!r}: field 'shape' must be a list of integers, "
+                f"got {shape!r}"
+            ) from exc
+    return shapes
+
+
+def _parse_blocks(data: dict[str, Any], nodes: list[ForeignNode]) -> list[tuple[str, list]]:
+    """Each declared block's name and member nodes (default: one block of all)."""
+    declared = data.get("blocks") or [{"name": "main", "nodes": None}]
+    if not isinstance(declared, list):
+        raise FrontendError(f"field 'blocks' must be a list, got {declared!r}")
+    blocks = []
+    for position, spec in enumerate(declared):
+        if not isinstance(spec, dict) or "name" not in spec:
+            raise FrontendError(f"block #{position} ({spec!r}): field 'name' is required")
+        # An explicitly empty member list means "no nodes" (the block is
+        # pruned below); only a missing/None list defaults to every node.
+        members = spec.get("nodes")
+        if members is None:
+            members = [n.name for n in nodes]
+        elif not isinstance(members, list):
+            raise FrontendError(
+                f"block {spec['name']!r}: field 'nodes' must be a list of node names, "
+                f"got {members!r}"
+            )
+        blocks.append((str(spec["name"]), members))
+    return blocks
+
+
 def import_onnx(data: dict[str, Any], name: str | None = None) -> Graph:
     """Import an ONNX-subset JSON dictionary into a validated IR graph."""
     inputs = data.get("inputs", [])
@@ -434,23 +480,17 @@ def import_onnx(data: dict[str, Any], name: str | None = None) -> Graph:
 
     ctx = ImportContext(
         graph=graph,
-        initializers={
-            str(init["name"]): tuple(int(d) for d in init["shape"])
-            for init in data.get("initializers", [])
-        },
+        initializers=_parse_initializers(data),
         alias={input_name: input_name},
     )
 
     nodes = _parse_foreign_nodes(data)
     block_of = {}
-    declared_blocks = data.get("blocks") or [{"name": "main", "nodes": None}]
-    for spec in declared_blocks:
-        # An explicitly empty member list means "no nodes" (the block is
-        # pruned below); only a missing/None list defaults to every node.
-        members = spec["nodes"] if spec.get("nodes") is not None else [n.name for n in nodes]
+    declared_blocks = _parse_blocks(data, nodes)
+    for block_name, members in declared_blocks:
         for node_name in members:
-            block_of[node_name] = spec["name"]
-    blocks = {spec["name"]: graph.add_block(str(spec["name"])) for spec in declared_blocks}
+            block_of[node_name] = block_name
+    blocks = {block_name: graph.add_block(block_name) for block_name, _ in declared_blocks}
 
     for node in nodes:
         result = _dispatch(node, ctx)

@@ -29,6 +29,15 @@ A kernel finishes when both its compute work (FLOPs) and its memory work
 behaviour).  The simulation is event driven: events are kernel launch
 completions and kernel finishes, so its cost is quadratic in the number of
 kernels per stage, which is tiny.
+
+Two loops run it.  :func:`simulate_streams` walks :class:`KernelSpec`
+streams and records per-kernel executions and the occupancy timeline
+(lowering, Figure 8, serving spans).  :func:`simulate_latency` runs the same
+events in the same float-operation order on kernel *values* — each kernel
+reduced to the five numbers the loop reads (:func:`kernel_values`) — and
+returns only the latency.  Its input is its cache key: the DP search builds
+it once per operator group and hands it over prebuilt, through the
+latency-only mode of :func:`simulate_streams`.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ __all__ = [
     "KernelExecution",
     "TimelineSegment",
     "SimulationResult",
+    "kernel_values",
+    "simulate_latency",
     "simulate_streams",
     "waterfill_allocation",
 ]
@@ -173,28 +184,6 @@ class _StreamState:
         self.run_start = now
 
 
-def _kernel_rates(
-    kernel: KernelSpec,
-    slots: float,
-    total_slots: float,
-    active_count: int,
-    device: DeviceSpec,
-) -> tuple[float, float]:
-    """Compute (compute_rate FLOPs/ms, memory_rate bytes/ms) for one interval."""
-    if slots <= _EPS:
-        return 0.0, 0.0
-    # Wave quantisation: with s slots a kernel of B blocks runs ceil(B/s) waves,
-    # i.e. it progresses as if it had B / ceil(B/s) dedicated slots.
-    waves = math.ceil(kernel.num_blocks / slots - 1e-9)
-    effective_slots = kernel.num_blocks / waves if waves > 0 else slots
-    effective_slots = min(effective_slots, slots if slots < kernel.num_blocks else kernel.num_blocks)
-    compute_rate = effective_slots * device.flops_per_slot_ms * kernel.efficiency
-    bandwidth_share = slots / total_slots if total_slots > 0 else 0.0
-    contention = 1.0 + device.contention_alpha * max(0, active_count - 1)
-    memory_rate = bandwidth_share * device.bandwidth_bytes_per_ms / contention
-    return compute_rate, memory_rate
-
-
 #: Memoised waterfill results keyed by ``(demands, capacity)``.  Demand
 #: tuples recur heavily across stage measurements (stages are built from the
 #: same kernels in many combinations), and the allocation is a pure function
@@ -223,84 +212,188 @@ def _waterfill_cached(demands: tuple[int, ...], capacity: int) -> tuple[float, .
 _RATES_CACHE: dict[tuple, dict[tuple, tuple]] = {}
 _RATES_CACHE_LIMIT = 1 << 16
 
-#: Memoised end-to-end latencies for the latency-only simulation path.  The
-#: simulated latency is a pure function of the per-stream kernel sequences
-#: (each kernel reduced to the five fields the simulation reads) and the
-#: device constants; numerically identical stages recur across op subsets
+#: Memoised latencies of :func:`simulate_latency`, keyed per device-constant
+#: tuple by the streams' kernel values.  The latency is a pure function of
+#: that key, and numerically identical stages recur across operator subsets
 #: because networks reuse the same operator shapes.  Bounded like the others.
 _LATENCY_CACHE: dict[tuple, dict[tuple, float]] = {}
 _LATENCY_CACHE_LIMIT = 1 << 16
 
-#: The five-field value of each kernel seen on the latency-only path, keyed by
-#: ``id(kernel)`` and built once per kernel, so a latency-cache key shares
-#: these tuples instead of rebuilding them per call.  Each entry holds its
-#: kernel, which pins the id: it cannot be recycled while the entry exists.
-_KERNEL_VALUES: dict[int, tuple[KernelSpec, tuple]] = {}
-_KERNEL_VALUES_LIMIT = 1 << 16
 
+def _resident_rates(
+    combo: tuple[tuple[int, float], ...], constants: tuple, rates_cache: dict
+) -> tuple[Sequence[float], list[tuple[float, float]]]:
+    """Slot allocation and (compute FLOPs/ms, memory bytes/ms) rates.
 
-def _stream_value(kernels: Sequence[KernelSpec]) -> tuple:
-    """One stream's latency-cache key: its kernels' five-field values."""
-    values = _KERNEL_VALUES
-    stream_value = []
-    for kernel in kernels:
-        entry = values.get(id(kernel))
-        if entry is None:
-            if len(values) >= _KERNEL_VALUES_LIMIT:
-                values.clear()
-            entry = values[id(kernel)] = (
-                kernel,
-                (
-                    kernel.num_blocks,
-                    kernel.efficiency,
-                    kernel.flops,
-                    kernel.memory_bytes,
-                    kernel.launch_overhead_ms,
-                ),
-            )
-        stream_value.append(entry[1])
-    return tuple(stream_value)
-
-
-def _simulate_single_stream(kernels: Sequence[KernelSpec], device: DeviceSpec) -> float:
-    """Latency of one stream's kernels run back-to-back, no bookkeeping.
-
-    Single-stream simulations have no cross-kernel interaction — exactly one
-    kernel launches or runs at any time — so the event loop degenerates to a
-    per-kernel walk.  Every float operation below replicates the general
-    loop's sequence (same waterfill, same rate computation, same
-    ``rem - rate*dt`` updates with the same clamps and ``_EPS`` guards), so
-    the returned latency is bit-identical to the full simulation; only the
-    per-interval stream filtering and allocation rebuilds are skipped.
+    ``combo`` holds each resident kernel's ``(num_blocks, efficiency)``, all a
+    kernel's rates depend on besides the device constants, so the bundle is
+    memoised on it in ``rates_cache``.
     """
+    cached = rates_cache.get(combo)
+    if cached is not None:
+        return cached
+    capacity, flops_per_slot, bandwidth, contention_alpha = constants
+    demands = tuple(min(nb, capacity) for nb, _ in combo)
+    alloc = _waterfill_cached(demands, capacity)
+    total_alloc = sum(alloc)
+    contention = 1.0 + contention_alpha * (len(combo) - 1)
+    rates = []
+    for (num_blocks, efficiency), slots in zip(combo, alloc):
+        if slots <= _EPS:
+            rates.append((0.0, 0.0))
+            continue
+        # Wave quantisation: with s slots a kernel of B blocks runs
+        # ceil(B/s) waves, i.e. it progresses as if it had B / ceil(B/s)
+        # dedicated slots.
+        waves = math.ceil(num_blocks / slots - 1e-9)
+        effective_slots = num_blocks / waves if waves > 0 else slots
+        effective_slots = min(effective_slots, slots if slots < num_blocks else num_blocks)
+        compute_rate = effective_slots * flops_per_slot * efficiency
+        bandwidth_share = slots / total_alloc if total_alloc > 0 else 0.0
+        rates.append((compute_rate, bandwidth_share * bandwidth / contention))
+    if len(rates_cache) >= _RATES_CACHE_LIMIT:
+        rates_cache.clear()
+    cached = rates_cache[combo] = (alloc, rates)
+    return cached
+
+
+def _device_constants(device: DeviceSpec) -> tuple:
+    """The device fields a simulation reads, keying the per-device caches."""
+    return (
+        device.total_block_slots,
+        device.flops_per_slot_ms,
+        device.bandwidth_bytes_per_ms,
+        device.contention_alpha,
+    )
+
+
+def kernel_values(kernel: KernelSpec) -> tuple:
+    """The five numbers a simulation reads from ``kernel``, in key order.
+
+    ``(num_blocks, efficiency, flops, memory_bytes, launch_overhead_ms)`` —
+    one element of a :func:`simulate_latency` stream.
+    """
+    return (
+        kernel.num_blocks,
+        kernel.efficiency,
+        kernel.flops,
+        kernel.memory_bytes,
+        kernel.launch_overhead_ms,
+    )
+
+
+def simulate_latency(streams: tuple, device: DeviceSpec) -> float:
+    """Latency of :func:`simulate_streams` on kernel values, without records.
+
+    ``streams`` holds one non-empty tuple of :func:`kernel_values` per stream
+    and is the latency-cache key as given, so a hit costs one lookup.  A miss
+    runs :func:`simulate_streams`'s event loop on per-stream parallel lists
+    instead of stream objects.  Every float operation happens in the same
+    order — same waterfill and rates caches, same ``rem - rate*dt`` updates,
+    clamps and ``_EPS`` guards — so the result equals
+    ``simulate_streams(...).latency_ms`` bit for bit.
+    """
+    constants = _device_constants(device)
+    latency_cache = _LATENCY_CACHE.get(constants)
+    if latency_cache is None:
+        latency_cache = _LATENCY_CACHE[constants] = {}
+    latency = latency_cache.get(streams)
+    if latency is not None:
+        return latency
+
+    rates_cache = _RATES_CACHE.setdefault(constants, {})
+    num_streams = len(streams)
+    # Per stream: the current kernel, its position in the stream, and its
+    # remaining launch time, compute and memory work.  ``launching`` and
+    # ``running`` list stream ids in stream order, like the phase filters of
+    # the recording loop; every stream begins launching.
+    current = [kernels[0] for kernels in streams]
+    position = [0] * num_streams
+    launch_left = [kernel[4] for kernel in current]
+    rem_compute = [kernel[2] for kernel in current]
+    rem_memory = [kernel[3] for kernel in current]
+    launching = list(range(num_streams))
+    running: list[int] = []
+    rates: list[tuple[float, float]] = []
+
     now = 0.0
-    capacity = device.total_block_slots
+    inf = math.inf
+    pending = num_streams
     guard = 0
-    max_iterations = 4 * len(kernels) + 16
-    for kernel in kernels:
-        now += kernel.launch_overhead_ms
-        rem_compute = kernel.flops
-        rem_memory = kernel.memory_bytes
-        alloc = waterfill_allocation([kernel.max_parallelism(device)], capacity)
-        slots = alloc[0]
-        # Rates are constant across this kernel's intervals (the allocation
-        # never changes with one resident kernel), so compute them once.
-        compute_rate, memory_rate = _kernel_rates(kernel, slots, sum(alloc), 1, device)
-        while rem_compute > _EPS or rem_memory > _EPS:
-            guard += 1
-            if guard > max_iterations * 8:
-                raise RuntimeError("contention simulation did not converge (internal error)")
+    max_iterations = 4 * sum(len(kernels) for kernels in streams) + 16
+    while pending:
+        guard += 1
+        if guard > max_iterations * 8:
+            raise RuntimeError("contention simulation did not converge (internal error)")
+
+        # ``t if t > ttf else ttf`` is ``max(ttf, t)`` and ``ttf < dt`` is
+        # ``min(dt, ttf)``, without the calls.
+        dt = inf
+        for i in launching:
+            if launch_left[i] < dt:
+                dt = launch_left[i]
+        for i, (compute_rate, memory_rate) in zip(running, rates):
             ttf = 0.0
-            if rem_compute > _EPS:
-                ttf = max(ttf, rem_compute / compute_rate if compute_rate > 0 else math.inf)
-            if rem_memory > _EPS:
-                ttf = max(ttf, rem_memory / memory_rate if memory_rate > 0 else math.inf)
-            dt = 0.0 if math.isinf(ttf) else ttf
-            now += dt
-            rem_compute = rem_compute - compute_rate * dt
-            rem_compute = rem_compute if rem_compute > 0.0 else 0.0
-            rem_memory = rem_memory - memory_rate * dt
-            rem_memory = rem_memory if rem_memory > 0.0 else 0.0
+            left = rem_compute[i]
+            if left > _EPS:
+                t = left / compute_rate if compute_rate > 0 else inf
+                if t > ttf:
+                    ttf = t
+            left = rem_memory[i]
+            if left > _EPS:
+                t = left / memory_rate if memory_rate > 0 else inf
+                if t > ttf:
+                    ttf = t
+            if ttf < dt:
+                dt = ttf
+        if dt == inf:
+            # Only zero-work kernels remain; let them finish instantly.
+            dt = 0.0
+        now += dt
+
+        started: list[int] = []
+        still_launching: list[int] = []
+        for i in launching:
+            left = launch_left[i] = launch_left[i] - dt
+            (started if left <= _EPS else still_launching).append(i)
+        relaunched: list[int] = []
+        still_running: list[int] = []
+        for i, (compute_rate, memory_rate) in zip(running, rates):
+            compute = rem_compute[i] - compute_rate * dt
+            rem_compute[i] = compute = compute if compute > 0.0 else 0.0
+            memory = rem_memory[i] - memory_rate * dt
+            rem_memory[i] = memory = memory if memory > 0.0 else 0.0
+            if compute <= _EPS and memory <= _EPS:
+                kernels = streams[i]
+                index = position[i] = position[i] + 1
+                if index < len(kernels):
+                    kernel = current[i] = kernels[index]
+                    launch_left[i] = kernel[4]
+                    rem_compute[i] = kernel[2]
+                    rem_memory[i] = kernel[3]
+                    relaunched.append(i)
+                else:
+                    pending -= 1
+            else:
+                still_running.append(i)
+
+        # The active sets (and hence the allocation and rates) change only
+        # when a kernel starts or finishes.
+        if relaunched:
+            launching = sorted(still_launching + relaunched)
+        elif started:
+            launching = still_launching
+        if started or len(still_running) != len(running):
+            running = sorted(still_running + started)
+            if running:
+                combo = tuple([current[i][:2] for i in running])
+                rates = _resident_rates(combo, constants, rates_cache)[1]
+            else:
+                rates = []
+
+    if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
+        latency_cache.clear()
+    latency_cache[streams] = now
     return now
 
 
@@ -316,7 +409,10 @@ def simulate_streams(
     ----------
     streams:
         One sequence of kernels per CUDA stream; kernels inside a stream run in
-        FIFO order, kernels in different streams run concurrently.
+        FIFO order, kernels in different streams run concurrently.  With both
+        ``record_trace`` and ``record_executions`` off, nothing is recorded
+        and ``streams`` is a :func:`simulate_latency` key instead: one
+        non-empty tuple of :func:`kernel_values` per stream.
     device:
         The simulated GPU.
     record_trace:
@@ -325,48 +421,21 @@ def simulate_streams(
         (Figure 8) samples.
     record_executions:
         When false, per-kernel :class:`KernelExecution` records are not
-        materialised (the DP search's latency-only path); the computed latency
-        is unaffected.
+        materialised; the computed latency is unaffected.
 
     Returns
     -------
     SimulationResult
         Total latency, per-kernel executions and (optionally) the timeline.
     """
-    latency_only = not record_trace and not record_executions
-    latency_cache: dict[tuple, float] | None = None
-    cache_key: tuple = ()
-    if latency_only:
-        # Look the latency up before building any simulation state: most
-        # latency-only calls of a DP search are hits.
-        cache_key = tuple(_stream_value(kernels) for kernels in streams if len(kernels) > 0)
-        latency_cache = _LATENCY_CACHE.setdefault(
-            (
-                device.total_block_slots,
-                device.flops_per_slot_ms,
-                device.bandwidth_bytes_per_ms,
-                device.contention_alpha,
-            ),
-            {},
-        )
-        cached_latency = latency_cache.get(cache_key)
-        if cached_latency is not None:
-            return SimulationResult(latency_ms=cached_latency)
-
+    if not record_trace and not record_executions:
+        return SimulationResult(latency_ms=simulate_latency(streams, device))
     states = []
     for kernels in streams:
         if len(kernels) > 0:
             states.append(_StreamState(kernels, len(states)))
     result = SimulationResult(latency_ms=0.0)
     if not states:
-        return result
-
-    if len(states) == 1 and latency_only:
-        result.latency_ms = _simulate_single_stream(states[0].kernels, device)
-        assert latency_cache is not None
-        if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
-            latency_cache.clear()
-        latency_cache[cache_key] = result.latency_ms
         return result
 
     now = 0.0
@@ -376,13 +445,8 @@ def simulate_streams(
     pending = len(states)
     guard = 0
     max_iterations = 4 * sum(len(s.kernels) for s in states) + 16
-    capacity = device.total_block_slots
-    flops_per_slot = device.flops_per_slot_ms
-    bandwidth = device.bandwidth_bytes_per_ms
-    contention_alpha = device.contention_alpha
-    rates_cache = _RATES_CACHE.setdefault(
-        (capacity, flops_per_slot, bandwidth, contention_alpha), {}
-    )
+    constants = _device_constants(device)
+    rates_cache = _RATES_CACHE.setdefault(constants, {})
     launching: list[_StreamState] = []
     running: list[_StreamState] = []
     alloc: Sequence[float] = ()
@@ -404,42 +468,12 @@ def simulate_streams(
             running = [s for s in states if s.phase == "run"]
 
             # --- compute resource allocation for running kernels ------------
-            # The rate computation is :func:`_kernel_rates` inlined over the
-            # hoisted device constants — identical float sequence, minus the
-            # per-call property lookups — and the whole bundle is memoised on
-            # the resident kernels' (num_blocks, efficiency) combination.
             if running:
                 combo = tuple(
                     (k.num_blocks, k.efficiency)
                     for k in [s.kernels[s.index] for s in running]
                 )
-                cached = rates_cache.get(combo)
-                if cached is not None:
-                    alloc, rates = cached
-                else:
-                    num_running = len(running)
-                    demands = tuple(min(nb, capacity) for nb, _ in combo)
-                    alloc = _waterfill_cached(demands, capacity)
-                    total_alloc = sum(alloc)
-                    contention = 1.0 + contention_alpha * (num_running - 1)
-                    rates = []
-                    for (num_blocks, efficiency), slots in zip(combo, alloc):
-                        if slots <= _EPS:
-                            rates.append((0.0, 0.0))
-                            continue
-                        waves = math.ceil(num_blocks / slots - 1e-9)
-                        effective_slots = num_blocks / waves if waves > 0 else slots
-                        effective_slots = min(
-                            effective_slots, slots if slots < num_blocks else num_blocks
-                        )
-                        compute_rate = effective_slots * flops_per_slot * efficiency
-                        bandwidth_share = slots / total_alloc if total_alloc > 0 else 0.0
-                        rates.append(
-                            (compute_rate, bandwidth_share * bandwidth / contention)
-                        )
-                    if len(rates_cache) >= _RATES_CACHE_LIMIT:
-                        rates_cache.clear()
-                    rates_cache[combo] = (alloc, rates)
+                alloc, rates = _resident_rates(combo, constants, rates_cache)
             else:
                 alloc = ()
                 rates = []
@@ -512,8 +546,4 @@ def simulate_streams(
                 dirty = True
 
     result.latency_ms = now
-    if latency_cache is not None:
-        if len(latency_cache) >= _LATENCY_CACHE_LIMIT:
-            latency_cache.clear()
-        latency_cache[cache_key] = now
     return result

@@ -16,7 +16,8 @@ from .contention import SimulationResult, simulate_streams
 from .device import DeviceSpec
 from .kernel import KernelSpec
 
-__all__ = ["Stream", "StagePlacement", "run_stage_placement"]
+__all__ = ["Stream", "StagePlacement", "run_stage_placement", "stage_barrier_ms",
+           "key_stage_latency_ms"]
 
 
 @dataclass
@@ -81,6 +82,24 @@ def run_stage_placement(
     """
     result = simulate_streams([s.kernels for s in placement.streams], device, record_trace)
     if include_sync and placement.num_streams > 0:
-        sync_cost = device.stream_sync_overhead_ms * max(1, placement.num_streams - 1)
-        result.latency_ms += sync_cost
+        result.latency_ms += stage_barrier_ms(device, placement.num_streams)
     return result
+
+
+def stage_barrier_ms(device: DeviceSpec, num_streams: int) -> float:
+    """Cost of the barrier closing a stage that used ``num_streams`` streams."""
+    return device.stream_sync_overhead_ms * max(1, num_streams - 1)
+
+
+def key_stage_latency_ms(streams: tuple, device: DeviceSpec) -> float:
+    """:func:`run_stage_placement` latency of a stage given as a simulator key.
+
+    ``streams`` holds one non-empty tuple of
+    :func:`~repro.hardware.contention.kernel_values` per stream, in group
+    order, and goes to the simulation as its latency-only key; the result
+    equals the latency of the stage it describes, bit for bit.
+    """
+    if not streams:
+        return 0.0
+    sim = simulate_streams(streams, device, record_trace=False, record_executions=False)
+    return sim.latency_ms + stage_barrier_ms(device, len(streams))

@@ -1,35 +1,28 @@
 """Simulated execution engine: executor, profiler, warp tracing, memory planner."""
 
-from .events import KernelEvent, StageEvent
+from .events import KernelEvent
 from .executor import (
     ExecutionPlan,
     ExecutionResult,
     ExecutionStage,
     Executor,
-    StageResult,
-    plan_flops,
     sequential_plan,
 )
-from .profiler import Measurement, Profiler
+from .profiler import Profiler
 from .warp_trace import WarpTrace, compare_traces, trace_from_timeline
-from .memory import MemoryPlan, MemoryPlanner, OutOfMemoryError
+from .memory import MemoryPlanner, OutOfMemoryError
 
 __all__ = [
     "KernelEvent",
-    "StageEvent",
     "ExecutionStage",
     "ExecutionPlan",
-    "StageResult",
     "ExecutionResult",
     "Executor",
     "sequential_plan",
-    "plan_flops",
-    "Measurement",
     "Profiler",
     "WarpTrace",
     "trace_from_timeline",
     "compare_traces",
-    "MemoryPlan",
     "MemoryPlanner",
     "OutOfMemoryError",
 ]

@@ -16,18 +16,17 @@ its :class:`~repro.core.schedule.Schedule` objects into plans, but baselines
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..hardware.contention import TimelineSegment, simulate_streams
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile, build_kernel
-from ..hardware.streams import StagePlacement, run_stage_placement
+from ..hardware.streams import stage_barrier_ms
 from ..ir.graph import Graph
 from ..ir.ops import Operator
 from .events import KernelEvent, StageEvent
 
 __all__ = ["ExecutionStage", "ExecutionPlan", "StageResult", "ExecutionResult", "Executor",
-           "sequential_plan", "plan_flops"]
+           "sequential_plan"]
 
 
 @dataclass
@@ -142,29 +141,14 @@ class Executor:
         self.device = device
         self.profile = profile
         self.record_trace = record_trace
-        # Operators are immutable once bound, so their kernels are too.  The
-        # cache holds a strong reference to the operator, which pins its id()
-        # — an id can never be recycled while its entry exists.  During a DP
-        # search the same operators appear in thousands of candidate stages,
-        # so this turns kernel lowering into a dict hit.
-        self._kernel_cache: dict[int, tuple[Operator, "object"]] = {}
 
     # ------------------------------------------------------------------ kernels
     def _kernel_groups(self, stage: ExecutionStage) -> list[list]:
-        """Lower a stage's operator groups to kernel groups (cached per op)."""
-        cache = self._kernel_cache
+        """Lower a stage's operator groups to kernel groups, dropping empty ones."""
         kernel_groups = []
         for group in stage.groups:
-            kernels = []
-            for op in group:
-                entry = cache.get(id(op))
-                if entry is None:
-                    kernel = build_kernel(op, self.device, self.profile)
-                    cache[id(op)] = (op, kernel)
-                else:
-                    kernel = entry[1]
-                if kernel is not None:
-                    kernels.append(kernel)
+            kernels = [build_kernel(op, self.device, self.profile) for op in group]
+            kernels = [kernel for kernel in kernels if kernel is not None]
             if kernels:
                 kernel_groups.append(kernels)
         return kernel_groups
@@ -173,24 +157,10 @@ class Executor:
     def run_stage(self, stage: ExecutionStage, start_ms: float = 0.0, index: int = 0) -> StageResult:
         """Execute a single stage starting at ``start_ms`` global time."""
         kernel_groups = self._kernel_groups(stage)
-
-        if not kernel_groups:
-            event = StageEvent(
-                stage_index=index,
-                label=stage.label,
-                strategy=stage.strategy,
-                start_ms=start_ms,
-                end_ms=start_ms,
-                num_groups=0,
-                num_kernels=0,
-                flops=stage.flops(),
-            )
-            return StageResult(event=event)
-
-        placement = StagePlacement.from_groups(kernel_groups)
-        sim = run_stage_placement(
-            placement, self.device, record_trace=self.record_trace, include_sync=True
-        )
+        num_streams = len(kernel_groups)
+        sim = simulate_streams(kernel_groups, self.device, record_trace=self.record_trace)
+        if num_streams:
+            sim.latency_ms += stage_barrier_ms(self.device, num_streams)
 
         event = StageEvent(
             stage_index=index,
@@ -198,8 +168,8 @@ class Executor:
             strategy=stage.strategy,
             start_ms=start_ms,
             end_ms=start_ms + sim.latency_ms,
-            num_groups=placement.num_streams,
-            num_kernels=placement.total_kernels(),
+            num_groups=num_streams,
+            num_kernels=sum(len(kernels) for kernels in kernel_groups),
             flops=stage.flops(),
         )
         kernel_events = [
@@ -222,25 +192,6 @@ class Executor:
             for seg in sim.timeline
         ]
         return StageResult(event=event, kernel_events=kernel_events, timeline=timeline)
-
-    def stage_latency_ms(self, stage: ExecutionStage) -> float:
-        """Latency of one stage without materialising events or timelines.
-
-        This is :meth:`run_stage` minus every piece of bookkeeping the DP
-        search never reads (stage/kernel events, timeline segments, stream
-        objects).  The arithmetic is identical — the same contention
-        simulation followed by the same synchronisation cost — so the result
-        equals ``run_stage(stage).latency_ms`` bit-for-bit.
-        """
-        kernel_groups = self._kernel_groups(stage)
-        if not kernel_groups:
-            return 0.0
-        sim = simulate_streams(
-            kernel_groups, self.device, record_trace=False, record_executions=False
-        )
-        num_streams = len(kernel_groups)
-        sim.latency_ms += self.device.stream_sync_overhead_ms * max(1, num_streams - 1)
-        return sim.latency_ms
 
     # -------------------------------------------------------------------- plans
     def run(self, plan: ExecutionPlan) -> ExecutionResult:
@@ -283,8 +234,3 @@ def sequential_plan(graph: Graph, name: str | None = None) -> ExecutionPlan:
             ExecutionStage(groups=[[op]], strategy="sequential", label=op_name)
         )
     return plan
-
-
-def plan_flops(stages: Iterable[ExecutionStage]) -> float:
-    """Total FLOPs over a collection of stages."""
-    return float(sum(stage.flops() for stage in stages))

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..hardware.device import DeviceSpec
 from ..hardware.kernel import CUDNN_PROFILE, KernelProfile
-from .executor import ExecutionPlan, ExecutionStage, Executor
+from .executor import ExecutionPlan, Executor
 
 __all__ = ["Measurement", "Profiler"]
 
@@ -121,34 +121,20 @@ class Profiler:
         return Measurement(mean_ms=mean, std_ms=std, repeats=self.repeats, samples=samples)
 
     # ------------------------------------------------------------------ public
-    def measure_stage(self, stage: ExecutionStage) -> Measurement:
-        """Measure the latency of one stage in isolation."""
-        self.measurement_count += 1
-        base = self.executor.run_stage(stage).latency_ms
-        return self._measure(base)
-
     def measure_plan(self, plan: ExecutionPlan) -> Measurement:
         """Measure the end-to-end latency of an execution plan."""
         self.measurement_count += 1
         base = self.executor.run(plan).latency_ms
         return self._measure(base)
 
-    def stage_latency_ms(self, stage: ExecutionStage) -> float:
-        """Mean stage latency — the quantity the DP scheduler consumes.
+    def measure_latency(self, base_ms: float) -> float:
+        """Measure a stage of noiseless latency ``base_ms``; returns the mean.
 
-        With noise disabled this skips the :class:`Measurement` bookkeeping
-        (samples tuple, std) while reproducing the identical mean: samples are
-        all equal to the base latency, and :func:`_mean_of_repeated` matches
-        numpy's accumulation bit-for-bit.  Measurement and profiling-cost
-        accounting is unchanged either way.
+        Without noise every sample is ``base_ms``, so the mean comes from
+        :func:`_mean_of_repeated`, skipping the :class:`Measurement`.
         """
+        self.measurement_count += 1
         if self.noise_std == 0.0:
-            self.measurement_count += 1
-            base = self.executor.stage_latency_ms(stage)
-            self.total_profiling_ms += (self.warmup + self.repeats) * base
-            return _mean_of_repeated(base, self.repeats)
-        return self.measure_stage(stage).mean_ms
-
-    def plan_latency_ms(self, plan: ExecutionPlan) -> float:
-        """Mean plan latency."""
-        return self.measure_plan(plan).mean_ms
+            self.total_profiling_ms += (self.warmup + self.repeats) * base_ms
+            return _mean_of_repeated(base_ms, self.repeats)
+        return self._measure(base_ms).mean_ms

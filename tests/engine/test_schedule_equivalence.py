@@ -441,3 +441,64 @@ class TestPinnedColdCompile:
         assert sum(s.num_transitions for s in stats) == 25105
         assert engine.cost_model.num_measurements == 4698
         assert repr(engine.cost_model.profiler.total_profiling_ms) == "2543.630738984297"
+
+
+class TestPinnedSearchCost:
+    """More cold v100 searches, pinned to values recorded before stages were
+    priced on bitmasks: results, states, transitions and the measurement
+    count and profiling time that Figure 9 reports as search cost."""
+
+    def test_transformer_block_v100_matches_recorded_values(self):
+        # An imported graph: its search runs on operators the frontend
+        # built.  (Its projections read distinct weights, so none merge;
+        # inception_v3's pin covers MERGE pricing.)
+        from pathlib import Path
+
+        clear_lattice_cache()
+        engine = Engine("v100", passes=True, jobs=1)
+        examples = Path(__file__).resolve().parents[2] / "examples"
+        model = engine.compile(load(examples / "transformer_block.json"))
+        stats = model.search.block_stats
+        stages = repr(stage_signature(model.schedule))
+        assert hashlib.sha256(stages.encode()).hexdigest() == (
+            "48fab74628fb17b778fb888e6c7722844a28efefba3d2dc8e406535ea81e9161"
+        )
+        assert sum(s.num_states for s in stats) == 156
+        assert sum(s.num_transitions for s in stats) == 2808
+        assert engine.cost_model.num_measurements == 628
+        assert repr(engine.cost_model.profiler.total_profiling_ms) == "39.93338234583885"
+
+    def test_figure9_inception_rows_match_recorded_values(self):
+        from repro.engine import clear_engine_pool
+        from repro.experiments.fig09_pruning import run_figure9
+
+        clear_engine_pool()
+        clear_lattice_cache()
+        table = run_figure9(models=("inception_v3",), device="v100")
+        assert table.column("stage_measurements") == [4698, 3209, 1101, 3276, 2263, 837]
+        assert [repr(gpu_s) for gpu_s in table.column("optimization_gpu_s")] == [
+            "2.5436307389842967",
+            "1.3621779466968746",
+            "0.3033633099825098",
+            "1.6636824512263018",
+            "0.8944874310530031",
+            "0.21282527968145662",
+        ]
+
+    def test_second_search_on_the_same_cost_model_measures_nothing(self):
+        graph = load("inception_v3")
+        cost_model = SimulatedCostModel(get_device("v100"))
+        first = IOSScheduler(cost_model).optimize_graph(graph, use_memo=False)
+        cold = cost_model.num_measurements
+        assert cold == 4698
+        second = IOSScheduler(cost_model).optimize_graph(graph, use_memo=False)
+        assert cost_model.num_measurements == cold
+        assert_results_identical(first, second)
+        # The name-based entry reads the same cache the searches filled (a
+        # block reused from an identical one priced only that one's names).
+        stages = iter(first.schedule.stages)
+        for stats in first.block_stats:
+            for stage in [next(stages) for _ in range(stats.num_stages)]:
+                if stats.source == "search":
+                    cost_model.stage_latency(graph, stage.operators, stage.strategy)
+        assert cost_model.num_measurements == cold

@@ -196,6 +196,31 @@ class TestImportStructure:
         with pytest.raises(FrontendError, match="node 'act0': field 'attrs'"):
             import_onnx(doc)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("initializers", [{"shape": [32, 16]}], r"initializer #0 .*field 'name'"),
+            ("initializers", [{"name": "w0", "shape": None}], r"initializer 'w0': field 'shape'"),
+            ("initializers", [{"name": "w0", "shape": ["a", 16]}],
+             r"initializer 'w0': field 'shape'"),
+            ("initializers", 7, r"field 'initializers' must be a list"),
+            ("blocks", ["main"], r"block #0 \('main'\): field 'name'"),
+            ("blocks", [{"nodes": ["fc0", "act0"]}], r"block #0 .*field 'name'"),
+            ("blocks", [{"name": "main", "nodes": 3}], r"block 'main': field 'nodes'"),
+            ("blocks", "main", r"field 'blocks' must be a list"),
+        ],
+        ids=[
+            "initializer-without-name", "null-shape", "non-integer-dims",
+            "initializers-not-a-list", "block-not-an-object", "block-without-name",
+            "block-nodes-not-a-list", "blocks-not-a-list",
+        ],
+    )
+    def test_malformed_initializers_and_blocks_name_the_field(self, field, value, match):
+        doc = _simple_mlp()
+        doc[field] = value
+        with pytest.raises(FrontendError, match=match):
+            import_onnx(doc)
+
     def test_default_is_a_single_main_block(self):
         graph = import_onnx(_simple_mlp())
         assert [b.name for b in graph.blocks] == ["main"]

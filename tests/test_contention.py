@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.hardware import contention
+from repro.hardware.contention import kernel_values, simulate_latency
+from repro.hardware.kernel import KernelSpec
 from repro.hardware import (
     StagePlacement,
     build_kernel,
@@ -179,6 +182,48 @@ class TestMultiStreamBehaviour:
         slowest = max(k.duration_alone_ms(device) for k in kernels)
         assert concurrent <= sequential + 1e-9
         assert concurrent >= slowest - 1e-9
+
+
+@st.composite
+def devices_and_streams(draw):
+    """1-8 streams of 1-4 kernels on v100 or k80: block counts on both sides
+    of the device's slot count, and kernels without FLOPs or without bytes."""
+    device = get_device(draw(st.sampled_from(["v100", "k80"])))
+    slots = device.total_block_slots
+    streams = []
+    for stream in range(draw(st.integers(1, 8))):
+        kernels = []
+        for position in range(draw(st.integers(1, 4))):
+            kernels.append(KernelSpec(
+                name=f"s{stream}k{position}",
+                op_kind="conv2d",
+                flops=draw(st.just(0.0) | st.floats(1e3, 1e10)),
+                memory_bytes=draw(st.just(0.0) | st.floats(1e2, 1e9)),
+                num_blocks=draw(st.integers(1, slots) | st.integers(slots + 1, 4 * slots)),
+                warps_per_block=device.warps_per_block,
+                efficiency=draw(st.sampled_from([0.3, 0.6, 0.92, 1.0])),
+                launch_overhead_ms=draw(
+                    st.sampled_from([0.0, device.kernel_launch_overhead_ms])
+                ),
+            ))
+        streams.append(kernels)
+    return device, streams
+
+
+class TestKeyedLatency:
+    """The latency-only loop, run on kernel values, against the recording loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=devices_and_streams())
+    def test_keyed_loop_equals_the_recording_loop(self, case):
+        device, streams = case
+        key = tuple(tuple(kernel_values(kernel) for kernel in kernels) for kernels in streams)
+        contention._LATENCY_CACHE.clear()
+        latency = simulate_latency(key, device)
+        assert latency == simulate_streams(streams, device, record_executions=True).latency_ms
+        # A hit returns the same double, also through the latency-only entry.
+        latency_only = simulate_streams(key, device, record_trace=False, record_executions=False)
+        assert latency_only.latency_ms == latency
 
 
 class TestStagePlacement:

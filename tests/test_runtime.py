@@ -97,9 +97,17 @@ class TestProfiler:
         assert profiler.total_profiling_ms == pytest.approx(expected)
 
     def test_stage_latency(self, fig2, v100):
-        profiler = Profiler(v100)
+        # The search's measurement of a known latency reports exactly the
+        # mean, count and GPU time of measuring the one-stage plan.
         stage = ExecutionStage(groups=[[fig2.nodes["conv_a"]]])
-        assert profiler.stage_latency_ms(stage) > 0
+        plan = ExecutionPlan(name="one-stage", stages=[stage])
+        measured = Profiler(v100)
+        expected = measured.measure_plan(plan).mean_ms
+        profiler = Profiler(v100)
+        base = Executor(v100).run_stage(stage).latency_ms
+        assert profiler.measure_latency(base) == expected > 0
+        assert profiler.measurement_count == measured.measurement_count == 1
+        assert profiler.total_profiling_ms == measured.total_profiling_ms
 
     def test_invalid_arguments(self, v100):
         with pytest.raises(ValueError):

@@ -57,6 +57,10 @@ class TestConnectedGroups:
         groups = connected_groups(fig2, ["conv_c", "conv_d", "concat"])
         assert len(groups) == 1
 
+    def test_unknown_operator_is_a_key_error_naming_it(self, fig2):
+        with pytest.raises(KeyError, match="nope"):
+            connected_groups(fig2, ["conv_a", "nope"])
+
 
 class TestScheduleValidation:
     def test_sequential_schedule_valid(self, fig2):
